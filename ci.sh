@@ -94,6 +94,17 @@ grep -q 'replay_report_match=true' "$CHURN_DIR/replay.txt"
 cargo run -q -p cdnc-experiments --release -- replay "$CHURN_DIR/storm.ckpt" --until 420 > "$CHURN_DIR/replay_window.txt"
 grep -q 'replay_chain_match=true' "$CHURN_DIR/replay_window.txt"
 grep -q 'replay_report_match=true' "$CHURN_DIR/replay_window.txt"
+# Tamper check: a node id past the fleet size (here on the first pending
+# NodeLeave event) must be a decode error — exit 1 — never a panic (101),
+# an abort (134), or a restore.
+awk 'prev == "ev=13" && !done { print "a=50000"; done = 1; prev = $0; next } { print; prev = $0 }' \
+  "$CHURN_DIR/storm.ckpt" > "$CHURN_DIR/tampered.ckpt"
+grep -qx 'a=50000' "$CHURN_DIR/tampered.ckpt"
+code=0
+cargo run -q -p cdnc-experiments --release -- replay "$CHURN_DIR/tampered.ckpt" > "$CHURN_DIR/tampered.txt" 2>&1 || code=$?
+if [ "$code" -ne 1 ] || ! grep -q 'checkpoint decode error' "$CHURN_DIR/tampered.txt"; then
+  echo "tampered checkpoint: exit $code, expected 1 with a decode error"; cat "$CHURN_DIR/tampered.txt"; exit 1
+fi
 rm -rf "$CHURN_DIR"
 
 echo "==> request-plane smoke: workload curves, serial vs --jobs 4 diff, report section"

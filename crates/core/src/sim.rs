@@ -25,16 +25,17 @@ use crate::topology::Topology;
 use cdnc_geo::{IspId, WorldBuilder};
 use cdnc_net::{FaultPlane, Network, NodeId, Packet, PacketKind, PACKET_KINDS};
 use cdnc_obs::profile::{self, Subsystem};
+use cdnc_obs::timeprof::HandlerGuard;
 use cdnc_obs::{
-    Checkpoint, Counter, Digest, Gauge, HandlerTimer, Histogram, Level, Registry, SpanKind,
-    TraceCtx, Tracer,
+    Counter, Digest, Gauge, HandlerTimer, Histogram, Level, Registry, SpanKind, TraceCtx, Tracer,
 };
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::stats::OnlineStats;
 use cdnc_simcore::{stream_tag, Scheduler, SimDuration, SimRng, SimTime};
 use cdnc_trace::SnapshotId;
 use cdnc_workload::{Catalog, Lookup, LruCache, ObjectId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::LazyLock;
 
 /// Runs one simulation and returns its report.
 ///
@@ -104,7 +105,7 @@ pub fn checkpoint_with_obs(config: &SimConfig, obs: &Registry, at: SimTime) -> S
     };
     let _run = obs.span("sim_events");
     sim.run_until(at);
-    sim.ckpt_write()
+    sim.save()
 }
 
 /// Restores a [`checkpoint`] artifact on `config` and runs it to completion.
@@ -127,7 +128,7 @@ pub fn resume_with_obs(
         let _build = obs.span("sim_build");
         CdnSimulation::new(config, obs)
     };
-    sim.ckpt_read(artifact)?;
+    sim.load(artifact)?;
     let _run = obs.span("sim_events");
     Ok(sim.run())
 }
@@ -162,13 +163,13 @@ pub fn resume_until_with_obs(
         let _build = obs.span("sim_build");
         CdnSimulation::new(config, obs)
     };
-    sim.ckpt_read(artifact)?;
+    sim.load(artifact)?;
     let _run = obs.span("sim_events");
     sim.run_until(until);
-    Ok(sim.ckpt_write())
+    Ok(sim.save())
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 enum Event {
     /// The provider publishes update `idx` of the sequence.
     Publish(u32),
@@ -202,6 +203,7 @@ enum Event {
     /// waiters.
     Fill(NodeId, ObjectId, u32),
     /// Under a [`WorkloadPlan`]: one catalog publish/perish churn event.
+    #[default]
     Churn,
     /// Under a [`ChurnPlan`](crate::ChurnPlan): a server departs gracefully —
     /// it hands off its waiters and drains its protocol state before going
@@ -216,30 +218,31 @@ enum Event {
     NodeJoin(NodeId),
 }
 
-/// Dispatch-timer labels, one per [`Event`] kind, indexed by
-/// [`Event::obs_idx`].
-const EVENT_TIMER_LABELS: [&str; 16] = [
-    "ev_publish",
-    "ev_poll_timer",
-    "ev_arrive",
-    "ev_user_visit",
-    "ev_fail",
-    "ev_recover",
-    "ev_fetch_timeout",
-    "ev_heartbeat",
-    "ev_retransmit",
-    "ev_probe",
-    "ev_request",
-    "ev_fill",
-    "ev_churn",
-    "ev_node_leave",
-    "ev_node_crash",
-    "ev_node_join",
+/// The event-kind table, indexed by [`Event::kind`]: each kind's
+/// observation label (the `ev_*` dispatch timer and digest label, and the
+/// `sim_ev_*` counter) and a blank variant a checkpoint load fills in.
+static EVENT_KINDS: [(&str, Event); 16] = [
+    ("ev_publish", Event::Publish(0)),
+    ("ev_poll_timer", Event::PollTimer(NodeId(0), 0)),
+    ("ev_arrive", Event::Arrive(NodeId(0), Msg::Unchanged)),
+    ("ev_user_visit", Event::UserVisit(0)),
+    ("ev_fail", Event::Fail(NodeId(0))),
+    ("ev_recover", Event::Recover(NodeId(0))),
+    ("ev_fetch_timeout", Event::FetchTimeout(NodeId(0), 0)),
+    ("ev_heartbeat", Event::Heartbeat(NodeId(0), 0)),
+    ("ev_retransmit", Event::Retransmit(0, 0)),
+    ("ev_probe", Event::Probe(NodeId(0), 0)),
+    ("ev_request", Event::Request(0)),
+    ("ev_fill", Event::Fill(NodeId(0), ObjectId { slot: 0, gen: 0 }, 0)),
+    ("ev_churn", Event::Churn),
+    ("ev_node_leave", Event::NodeLeave(NodeId(0))),
+    ("ev_node_crash", Event::NodeCrash(NodeId(0))),
+    ("ev_node_join", Event::NodeJoin(NodeId(0))),
 ];
 
 impl Event {
-    /// This event's slot in [`EVENT_TIMER_LABELS`].
-    fn obs_idx(&self) -> usize {
+    /// This event's slot in [`EVENT_KINDS`] (and its checkpoint tag).
+    fn kind(&self) -> usize {
         match self {
             Event::Publish(..) => 0,
             Event::PollTimer(..) => 1,
@@ -259,9 +262,85 @@ impl Event {
             Event::NodeJoin(..) => 15,
         }
     }
+
+    /// What the determinism digest folds beside the kind label and the
+    /// simulated time: the acting node (or user), and the payload tags
+    /// (`tags[..n]`).
+    fn digest_payload(&self) -> (u32, [u64; 2], usize) {
+        match self {
+            Event::Publish(idx) => (0, [u64::from(*idx), 0], 1),
+            Event::PollTimer(node, gen)
+            | Event::FetchTimeout(node, gen)
+            | Event::Heartbeat(node, gen)
+            | Event::Probe(node, gen) => (node.0, [*gen, 0], 1),
+            Event::Arrive(node, msg) => (node.0, [msg.kind() as u64, msg.digest_tag()], 2),
+            Event::UserVisit(u) | Event::Request(u) => (*u, [0; 2], 0),
+            Event::Fail(node)
+            | Event::Recover(node)
+            | Event::NodeLeave(node)
+            | Event::NodeCrash(node)
+            | Event::NodeJoin(node) => (node.0, [0; 2], 0),
+            Event::Retransmit(id, attempt) => (0, [*id, u64::from(*attempt)], 2),
+            Event::Fill(edge, id, snap) => {
+                (edge.0, [(u64::from(id.slot) << 32) | u64::from(id.gen), u64::from(*snap)], 2)
+            }
+            Event::Churn => (0, [0; 2], 0),
+        }
+    }
+
+    /// Checkpoints this event: its [`Event::kind`] as the variant tag, then
+    /// the payload, every id checked against `b` on load.
+    fn ckpt(&mut self, c: &mut Ckpt<'_>, b: &Bounds) -> Result<(), CkptError> {
+        let mut kind = self.kind() as u32;
+        c.index("ev", &mut kind, EVENT_KINDS.len())?;
+        if c.is_load() {
+            *self = EVENT_KINDS[kind as usize].1.clone();
+        }
+        match self {
+            Event::Publish(idx) => c.index("a", idx, b.snaps),
+            Event::PollTimer(node, gen)
+            | Event::FetchTimeout(node, gen)
+            | Event::Heartbeat(node, gen)
+            | Event::Probe(node, gen) => {
+                c.index("a", &mut node.0, b.nodes)?;
+                c.u64("b", gen)
+            }
+            Event::Arrive(node, msg) => {
+                c.index("a", &mut node.0, b.nodes)?;
+                msg.ckpt(c, b, true)
+            }
+            Event::UserVisit(u) | Event::Request(u) => c.index("a", u, b.users),
+            Event::Fail(node)
+            | Event::Recover(node)
+            | Event::NodeLeave(node)
+            | Event::NodeCrash(node)
+            | Event::NodeJoin(node) => c.index("a", &mut node.0, b.nodes),
+            Event::Retransmit(id, attempt) => {
+                c.u64("a", id)?;
+                c.u32("b", attempt)
+            }
+            Event::Fill(edge, id, snap) => {
+                c.index("a", &mut edge.0, b.nodes)?;
+                c.index("b", &mut id.slot, b.slots)?;
+                c.u32("c", &mut id.gen)?;
+                c.index("d", snap, b.snaps)
+            }
+            Event::Churn => Ok(()),
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
+/// What checkpoint loads check ids against before anything indexes with
+/// them: the node, user, snapshot and catalog-rank counts the
+/// configuration builds.
+struct Bounds {
+    nodes: usize,
+    users: usize,
+    snaps: usize,
+    slots: usize,
+}
+
+#[derive(Debug, Clone, Default)]
 enum Msg {
     /// Content (push, or poll/fetch response). `modified_at` is the
     /// provider-side publish instant of the carried snapshot (the HTTP
@@ -277,6 +356,7 @@ enum Msg {
     /// full content back.
     Poll { from: NodeId, have: SnapshotId, conditional: bool },
     /// Light "nothing new" reply to a conditional poll.
+    #[default]
     Unchanged,
     /// Algorithm 1 mode notification: the sender is now in invalidation
     /// mode (`true`) or back to TTL (`false`).
@@ -348,148 +428,64 @@ impl Msg {
         }
     }
 
-    /// Serializes this message (variant tag + payload). Trace contexts are
-    /// observation-only and are not stored — a restored message carries
-    /// [`TraceCtx::NONE`], which never affects handlers or the determinism
-    /// digest (whose tags are context-independent).
-    fn ckpt_write(&self, w: &mut CkptWriter) {
+    /// Checkpoints this message: a variant tag (its [`MSG_KINDS`] slot),
+    /// then the payload, every id checked against `b` on load. Trace
+    /// contexts are observation-only and are not stored — a restored
+    /// message carries [`TraceCtx::NONE`], which never affects handlers or
+    /// the determinism digest (whose tags are context-independent).
+    /// Envelopes never nest, so a load only accepts a `Tracked` message
+    /// where `envelope` allows it.
+    fn ckpt(&mut self, c: &mut Ckpt<'_>, b: &Bounds, envelope: bool) -> Result<(), CkptError> {
+        let same = |m: &Msg| std::mem::discriminant(m) == std::mem::discriminant(self);
+        let mut tag = MSG_KINDS.iter().position(same).expect("every variant listed") as u32;
+        c.index("msg", &mut tag, MSG_KINDS.len())?;
+        if c.is_load() {
+            *self = MSG_KINDS[tag as usize].clone();
+        }
         match self {
             Msg::Update { snap, modified_at, .. } => {
-                w.u64("msg", 0);
-                w.u64("a", u64::from(snap.0));
-                w.time("b", *modified_at);
+                c.index("a", &mut snap.0, b.snaps)?;
+                c.time("b", modified_at)
             }
-            Msg::Invalidate(snap, _) => {
-                w.u64("msg", 1);
-                w.u64("a", u64::from(snap.0));
-            }
+            Msg::Invalidate(snap, _) => c.index("a", &mut snap.0, b.snaps),
             Msg::Poll { from, have, conditional } => {
-                w.u64("msg", 2);
-                w.u64("a", u64::from(from.0));
-                w.u64("b", u64::from(have.0));
-                w.bool("c", *conditional);
+                c.index("a", &mut from.0, b.nodes)?;
+                c.index("b", &mut have.0, b.snaps)?;
+                c.bool("c", conditional)
             }
-            Msg::Unchanged => w.u64("msg", 3),
-            Msg::SwitchMode { from, to_invalidation } => {
-                w.u64("msg", 4);
-                w.u64("a", u64::from(from.0));
-                w.bool("b", *to_invalidation);
+            Msg::Unchanged => Ok(()),
+            Msg::SwitchMode { from, to_invalidation: flag }
+            | Msg::TreeJoin { from, invalidation_mode: flag } => {
+                c.index("a", &mut from.0, b.nodes)?;
+                c.bool("b", flag)
             }
-            Msg::TreeJoin { from, invalidation_mode } => {
-                w.u64("msg", 5);
-                w.u64("a", u64::from(from.0));
-                w.bool("b", *invalidation_mode);
+            Msg::Tracked { .. } if !envelope => {
+                Err(CkptError("nested message envelope".to_owned()))
             }
             Msg::Tracked { id, from, inner } => {
-                w.u64("msg", 6);
-                w.u64("a", *id);
-                w.u64("b", u64::from(from.0));
-                inner.ckpt_write(w);
+                c.u64("a", id)?;
+                c.index("b", &mut from.0, b.nodes)?;
+                inner.ckpt(c, b, false)
             }
-            Msg::Ack { id } => {
-                w.u64("msg", 7);
-                w.u64("a", *id);
-            }
+            Msg::Ack { id } => c.u64("a", id),
         }
-    }
-
-    /// Restores a message written by [`Msg::ckpt_write`].
-    fn ckpt_read(r: &mut CkptReader) -> Result<Msg, CkptError> {
-        Ok(match r.u64("msg")? {
-            0 => Msg::Update {
-                snap: SnapshotId(r.u64("a")? as u32),
-                modified_at: r.time("b")?,
-                ctx: TraceCtx::NONE,
-            },
-            1 => Msg::Invalidate(SnapshotId(r.u64("a")? as u32), TraceCtx::NONE),
-            2 => Msg::Poll {
-                from: NodeId(r.u64("a")? as u32),
-                have: SnapshotId(r.u64("b")? as u32),
-                conditional: r.bool("c")?,
-            },
-            3 => Msg::Unchanged,
-            4 => {
-                Msg::SwitchMode { from: NodeId(r.u64("a")? as u32), to_invalidation: r.bool("b")? }
-            }
-            5 => {
-                Msg::TreeJoin { from: NodeId(r.u64("a")? as u32), invalidation_mode: r.bool("b")? }
-            }
-            6 => Msg::Tracked {
-                id: r.u64("a")?,
-                from: NodeId(r.u64("b")? as u32),
-                inner: Box::new(Msg::ckpt_read(r)?),
-            },
-            7 => Msg::Ack { id: r.u64("a")? },
-            t => return Err(CkptError(format!("unknown message tag {t}"))),
-        })
     }
 }
 
-impl Event {
-    /// Serializes this event (its [`Event::obs_idx`] as the variant tag,
-    /// then the payload).
-    fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.usize("ev", self.obs_idx());
-        match self {
-            Event::Publish(idx) => w.u64("a", u64::from(*idx)),
-            Event::PollTimer(node, gen)
-            | Event::FetchTimeout(node, gen)
-            | Event::Heartbeat(node, gen)
-            | Event::Probe(node, gen) => {
-                w.u64("a", u64::from(node.0));
-                w.u64("b", *gen);
-            }
-            Event::Arrive(node, msg) => {
-                w.u64("a", u64::from(node.0));
-                msg.ckpt_write(w);
-            }
-            Event::UserVisit(u) | Event::Request(u) => w.u64("a", u64::from(*u)),
-            Event::Fail(node)
-            | Event::Recover(node)
-            | Event::NodeLeave(node)
-            | Event::NodeCrash(node)
-            | Event::NodeJoin(node) => w.u64("a", u64::from(node.0)),
-            Event::Retransmit(id, attempt) => {
-                w.u64("a", *id);
-                w.u64("b", u64::from(*attempt));
-            }
-            Event::Fill(edge, id, snap) => {
-                w.u64("a", u64::from(edge.0));
-                w.u64("b", u64::from(id.slot));
-                w.u64("c", u64::from(id.gen));
-                w.u64("d", u64::from(*snap));
-            }
-            Event::Churn => {}
-        }
-    }
-
-    /// Restores an event written by [`Event::ckpt_write`].
-    fn ckpt_read(r: &mut CkptReader) -> Result<Event, CkptError> {
-        Ok(match r.usize("ev")? {
-            0 => Event::Publish(r.u64("a")? as u32),
-            1 => Event::PollTimer(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            2 => Event::Arrive(NodeId(r.u64("a")? as u32), Msg::ckpt_read(r)?),
-            3 => Event::UserVisit(r.u64("a")? as u32),
-            4 => Event::Fail(NodeId(r.u64("a")? as u32)),
-            5 => Event::Recover(NodeId(r.u64("a")? as u32)),
-            6 => Event::FetchTimeout(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            7 => Event::Heartbeat(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            8 => Event::Retransmit(r.u64("a")?, r.u64("b")? as u32),
-            9 => Event::Probe(NodeId(r.u64("a")? as u32), r.u64("b")?),
-            10 => Event::Request(r.u64("a")? as u32),
-            11 => {
-                let edge = NodeId(r.u64("a")? as u32);
-                let id = ObjectId { slot: r.u64("b")? as u32, gen: r.u64("c")? as u32 };
-                Event::Fill(edge, id, r.u64("d")? as u32)
-            }
-            12 => Event::Churn,
-            13 => Event::NodeLeave(NodeId(r.u64("a")? as u32)),
-            14 => Event::NodeCrash(NodeId(r.u64("a")? as u32)),
-            15 => Event::NodeJoin(NodeId(r.u64("a")? as u32)),
-            t => return Err(CkptError(format!("unknown event tag {t}"))),
-        })
-    }
-}
+/// Blank message variants in checkpoint-tag order (lazy: the envelope's
+/// blank owns a heap box).
+static MSG_KINDS: LazyLock<[Msg; 8]> = LazyLock::new(|| {
+    [
+        Msg::Update { snap: SnapshotId(0), modified_at: SimTime::ZERO, ctx: TraceCtx::NONE },
+        Msg::Invalidate(SnapshotId(0), TraceCtx::NONE),
+        Msg::Poll { from: NodeId(0), have: SnapshotId(0), conditional: false },
+        Msg::Unchanged,
+        Msg::SwitchMode { from: NodeId(0), to_invalidation: false },
+        Msg::TreeJoin { from: NodeId(0), invalidation_mode: false },
+        Msg::Tracked { id: 0, from: NodeId(0), inner: Box::default() },
+        Msg::Ack { id: 0 },
+    ]
+});
 
 #[derive(Debug)]
 struct NodeState {
@@ -606,23 +602,8 @@ struct SimObs {
     registry: Registry,
     /// Messages sent, by class — indexed by `PacketKind as usize`.
     msgs: [Counter; PACKET_KINDS],
-    /// Event-loop dispatches, by event kind.
-    ev_publish: Counter,
-    ev_poll_timer: Counter,
-    ev_arrive: Counter,
-    ev_user_visit: Counter,
-    ev_fail: Counter,
-    ev_recover: Counter,
-    ev_fetch_timeout: Counter,
-    ev_heartbeat: Counter,
-    ev_retransmit: Counter,
-    ev_probe: Counter,
-    ev_request: Counter,
-    ev_fill: Counter,
-    ev_churn: Counter,
-    ev_node_leave: Counter,
-    ev_node_crash: Counter,
-    ev_node_join: Counter,
+    /// Event-loop dispatches, indexed by [`Event::kind`].
+    ev_count: [Counter; 16],
     /// Algorithm 1 transitions (paper lines 7–8 and 12–13).
     switch_to_invalidation: Counter,
     switch_to_ttl: Counter,
@@ -686,7 +667,7 @@ struct SimObs {
     user_state_bytes: Histogram,
     /// Causal update tracer (inert unless enabled on the registry).
     tracer: Tracer,
-    /// Per-event-kind dispatch timers, indexed by [`Event::obs_idx`] —
+    /// Per-event-kind dispatch timers, indexed by [`Event::kind`] —
     /// wall-clock handler cost where the scheduler hands events to the
     /// run loop (timeprof gate; inert unless armed).
     ev_timers: [HandlerTimer; 16],
@@ -761,22 +742,7 @@ impl SimObs {
         SimObs {
             registry: registry.clone(),
             msgs: msg_names.map(|n| registry.counter(n)),
-            ev_publish: registry.counter("sim_ev_publish"),
-            ev_poll_timer: registry.counter("sim_ev_poll_timer"),
-            ev_arrive: registry.counter("sim_ev_arrive"),
-            ev_user_visit: registry.counter("sim_ev_user_visit"),
-            ev_fail: registry.counter("sim_ev_fail"),
-            ev_recover: registry.counter("sim_ev_recover"),
-            ev_fetch_timeout: registry.counter("sim_ev_fetch_timeout"),
-            ev_heartbeat: registry.counter("sim_ev_heartbeat"),
-            ev_retransmit: registry.counter("sim_ev_retransmit"),
-            ev_probe: registry.counter("sim_ev_probe"),
-            ev_request: registry.counter("sim_ev_request"),
-            ev_fill: registry.counter("sim_ev_fill"),
-            ev_churn: registry.counter("sim_ev_churn"),
-            ev_node_leave: registry.counter("sim_ev_node_leave"),
-            ev_node_crash: registry.counter("sim_ev_node_crash"),
-            ev_node_join: registry.counter("sim_ev_node_join"),
+            ev_count: EVENT_KINDS.each_ref().map(|(n, _)| registry.counter(&format!("sim_{n}"))),
             switch_to_invalidation: registry.counter("sim_switch_to_invalidation"),
             switch_to_ttl: registry.counter("sim_switch_to_ttl"),
             orphan_reattach: registry.counter("sim_orphan_reattach"),
@@ -819,7 +785,7 @@ impl SimObs {
                 Histogram::default()
             },
             tracer: registry.tracer(),
-            ev_timers: EVENT_TIMER_LABELS.map(|n| registry.handler_timer(n)),
+            ev_timers: EVENT_KINDS.each_ref().map(|(n, _)| registry.handler_timer(n)),
             msg_timers: [
                 "msg_update",
                 "msg_poll",
@@ -837,43 +803,22 @@ impl SimObs {
         }
     }
 
-    /// Folds one dispatched event's structural identity into the
-    /// determinism digest: per-kind label, acting node, simulated time, and
-    /// the variant's payload tags. Only values that are themselves
-    /// deterministic functions of the configuration enter the chain —
-    /// never wall-clock readings or addresses — so for a fixed config the
-    /// chain is bit-identical across runs and job counts.
-    fn fold_event(&self, now: SimTime, ev: &Event) {
-        if !self.digest.is_enabled() {
-            return;
+    /// Observes one dispatch: counts the event under its kind, folds its
+    /// structural identity into the determinism digest — kind label,
+    /// acting node, simulated time, payload tags; never wall-clock readings
+    /// or addresses, so for a fixed config the chain is bit-identical across
+    /// runs and job counts — and starts the kind's handler timer. The
+    /// returned guard owns its cell, so the handler can borrow the
+    /// simulation mutably while it times.
+    fn observe_dispatch(&self, now: SimTime, ev: &Event) -> HandlerGuard {
+        let kind = ev.kind();
+        let timer = self.ev_timers[kind].start();
+        if self.digest.is_enabled() {
+            let (node, tags, n) = ev.digest_payload();
+            self.digest.fold(EVENT_KINDS[kind].0, node, now.as_micros(), &tags[..n]);
         }
-        let t = now.as_micros();
-        let d = &self.digest;
-        match ev {
-            Event::Publish(idx) => d.fold("ev_publish", 0, t, &[u64::from(*idx)]),
-            Event::PollTimer(node, gen) => d.fold("ev_poll_timer", node.0, t, &[*gen]),
-            Event::Arrive(node, msg) => {
-                d.fold("ev_arrive", node.0, t, &[msg.kind() as u64, msg.digest_tag()]);
-            }
-            Event::UserVisit(u) => d.fold("ev_user_visit", *u, t, &[]),
-            Event::Fail(node) => d.fold("ev_fail", node.0, t, &[]),
-            Event::Recover(node) => d.fold("ev_recover", node.0, t, &[]),
-            Event::FetchTimeout(node, token) => d.fold("ev_fetch_timeout", node.0, t, &[*token]),
-            Event::Heartbeat(node, gen) => d.fold("ev_heartbeat", node.0, t, &[*gen]),
-            Event::Retransmit(id, attempt) => {
-                d.fold("ev_retransmit", 0, t, &[*id, u64::from(*attempt)]);
-            }
-            Event::Probe(node, gen) => d.fold("ev_probe", node.0, t, &[*gen]),
-            Event::Request(u) => d.fold("ev_request", *u, t, &[]),
-            Event::Fill(edge, id, snap) => {
-                let obj = (u64::from(id.slot) << 32) | u64::from(id.gen);
-                d.fold("ev_fill", edge.0, t, &[obj, u64::from(*snap)]);
-            }
-            Event::Churn => d.fold("ev_churn", 0, t, &[]),
-            Event::NodeLeave(node) => d.fold("ev_node_leave", node.0, t, &[]),
-            Event::NodeCrash(node) => d.fold("ev_node_crash", node.0, t, &[]),
-            Event::NodeJoin(node) => d.fold("ev_node_join", node.0, t, &[]),
-        }
+        self.ev_count[kind].inc();
+        timer
     }
 
     fn msg(&self, kind: PacketKind) -> &Counter {
@@ -911,7 +856,7 @@ impl SimObs {
 }
 
 /// One tracked delivery awaiting an ack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PendingDelivery {
     src: NodeId,
     dst: NodeId,
@@ -1344,94 +1289,46 @@ impl<'a> CdnSimulation<'a> {
     /// (or the horizon gate closed).
     fn step(&mut self) -> bool {
         let Some((now, ev)) = self.sched.next() else { return false };
-        {
-            // Per-event-kind handler timing (observation-only wall clock;
-            // one branch when timeprof is off). The guard owns its cell,
-            // so the handlers below can borrow `self` mutably.
-            let _dispatch = self.obs.ev_timers[ev.obs_idx()].start();
-            self.obs.fold_event(now, &ev);
-            match ev {
-                Event::Publish(idx) => {
-                    self.obs.ev_publish.inc();
-                    self.on_publish(now, SnapshotId(idx));
-                }
-                Event::PollTimer(node, gen) => {
-                    self.obs.ev_poll_timer.inc();
-                    self.on_poll_timer(now, node, gen);
-                }
-                Event::UserVisit(u) => {
-                    self.obs.ev_user_visit.inc();
-                    self.on_user_visit(now, u);
-                }
-                Event::Arrive(node, msg) => {
-                    self.obs.ev_arrive.inc();
-                    // Delivered or lost, the message leaves the wire.
-                    self.obs.inflight[msg.kind() as usize].sub(1);
-                    self.net.mark_delivered(msg.kind(), self.packet_kb(msg.kind()));
-                    // Messages to a failed node are lost (the silent-loss
-                    // class the fault plane's retransmits exist to cover).
-                    if self.nodes[node.index()].absent {
-                        self.chaos.lost_to_failed += 1;
-                        self.obs.msgs_lost_to_failed.inc();
-                        self.obs.tracer.lost(msg.trace_ctx(), node.index() as u32, now.as_micros());
-                    } else {
-                        self.on_arrive(now, node, msg);
-                    }
-                }
-                Event::Fail(node) => {
-                    self.obs.ev_fail.inc();
-                    self.on_fail(now, node);
-                }
-                Event::Recover(node) => {
-                    self.obs.ev_recover.inc();
-                    self.on_recover(now, node);
-                }
-                Event::FetchTimeout(node, token) => {
-                    self.obs.ev_fetch_timeout.inc();
-                    let state = &mut self.nodes[node.index()];
-                    if state.fetch_pending && state.fetch_token == token {
-                        // The upstream died mid-request; give up so the next
-                        // visit or poll can retry.
-                        state.fetch_pending = false;
-                    }
-                }
-                Event::Heartbeat(node, gen) => {
-                    self.obs.ev_heartbeat.inc();
-                    self.on_heartbeat(now, node, gen);
-                }
-                Event::Retransmit(id, attempt) => {
-                    self.obs.ev_retransmit.inc();
-                    self.on_retransmit(now, id, attempt);
-                }
-                Event::Probe(node, gen) => {
-                    self.obs.ev_probe.inc();
-                    self.on_probe(now, node, gen);
-                }
-                Event::Request(u) => {
-                    self.obs.ev_request.inc();
-                    self.on_request(now, u);
-                }
-                Event::Fill(edge, id, snap) => {
-                    self.obs.ev_fill.inc();
-                    self.on_fill(now, edge, id, snap);
-                }
-                Event::Churn => {
-                    self.obs.ev_churn.inc();
-                    self.on_churn(now);
-                }
-                Event::NodeLeave(node) => {
-                    self.obs.ev_node_leave.inc();
-                    self.on_node_leave(now, node);
-                }
-                Event::NodeCrash(node) => {
-                    self.obs.ev_node_crash.inc();
-                    self.on_node_crash(now, node);
-                }
-                Event::NodeJoin(node) => {
-                    self.obs.ev_node_join.inc();
-                    self.on_node_join(now, node);
+        // Observation-only: counter, digest fold, and handler timer
+        // (one branch each when their recorder is off).
+        let _dispatch = self.obs.observe_dispatch(now, &ev);
+        match ev {
+            Event::Publish(idx) => self.on_publish(now, SnapshotId(idx)),
+            Event::PollTimer(node, gen) => self.on_poll_timer(now, node, gen),
+            Event::UserVisit(u) => self.on_user_visit(now, u),
+            Event::Arrive(node, msg) => {
+                // Delivered or lost, the message leaves the wire.
+                self.obs.inflight[msg.kind() as usize].sub(1);
+                self.net.mark_delivered(msg.kind(), self.packet_kb(msg.kind()));
+                // Messages to a failed node are lost (the silent-loss
+                // class the fault plane's retransmits exist to cover).
+                if self.nodes[node.index()].absent {
+                    self.chaos.lost_to_failed += 1;
+                    self.obs.msgs_lost_to_failed.inc();
+                    self.obs.tracer.lost(msg.trace_ctx(), node.index() as u32, now.as_micros());
+                } else {
+                    self.on_arrive(now, node, msg);
                 }
             }
+            Event::Fail(node) => self.on_fail(now, node),
+            Event::Recover(node) => self.on_recover(now, node),
+            Event::FetchTimeout(node, token) => {
+                let state = &mut self.nodes[node.index()];
+                if state.fetch_pending && state.fetch_token == token {
+                    // The upstream died mid-request; give up so the next
+                    // visit or poll can retry.
+                    state.fetch_pending = false;
+                }
+            }
+            Event::Heartbeat(node, gen) => self.on_heartbeat(now, node, gen),
+            Event::Retransmit(id, attempt) => self.on_retransmit(now, id, attempt),
+            Event::Probe(node, gen) => self.on_probe(now, node, gen),
+            Event::Request(u) => self.on_request(now, u),
+            Event::Fill(edge, id, snap) => self.on_fill(now, edge, id, snap),
+            Event::Churn => self.on_churn(now),
+            Event::NodeLeave(node) => self.on_node_leave(now, node),
+            Event::NodeCrash(node) => self.on_node_crash(now, node),
+            Event::NodeJoin(node) => self.on_node_join(now, node),
         }
         true
     }
@@ -2794,473 +2691,194 @@ impl<'a> CdnSimulation<'a> {
         }
     }
 
-    /// Serializes the complete dynamic simulation state — scheduler clock
+    /// Serializes the paused simulation into a checkpoint artifact.
+    fn save(&mut self) -> String {
+        let mut c = Ckpt::save("cdn-sim");
+        self.ckpt(&mut c).expect("saving a checkpoint cannot fail");
+        c.finish()
+    }
+
+    /// Restores a [`CdnSimulation::save`] artifact into this freshly
+    /// constructed simulation (same configuration).
+    fn load(&mut self, artifact: &str) -> Result<(), CkptError> {
+        let mut c = Ckpt::load(artifact, "cdn-sim")?;
+        self.ckpt(&mut c)?;
+        c.done()
+    }
+
+    /// Checkpoints the complete dynamic simulation state — scheduler clock
     /// and pending queue, every RNG stream, per-node and per-user protocol
     /// state, reliable-delivery ledger, cluster/tree/topology wiring,
     /// request-plane caches, network backlogs, lifecycle bookkeeping, and
-    /// the determinism-digest segment — into a versioned text artifact.
+    /// the determinism-digest segment.
     ///
     /// Static structure (node placement, latency model, plan parameters) is
-    /// *not* stored: restore reconstructs it from the same [`SimConfig`] and
-    /// overlays the dynamic state, so an artifact is only meaningful
-    /// together with its configuration.
-    fn ckpt_write(&self) -> String {
-        let mut w = CkptWriter::new("cdn-sim");
-        // Scheduler: clock, processed count, and the full pending queue in
-        // deterministic pop order.
-        let (now, processed, entries, next_seq) = self.sched.state();
-        w.time("sched_now", now);
-        w.u64("sched_processed", processed);
-        w.u64("sched_next_seq", next_seq);
-        w.usize("sched_entries", entries.len());
-        for (t, seq, ev) in entries {
-            w.time("ev_t", t);
-            w.u64("ev_seq", seq);
-            ev.ckpt_write(&mut w);
-        }
-        w.rng("sim_rng", &self.rng);
-        // Per-node protocol state (trace contexts are observation-only and
-        // restored as NONE).
-        w.usize("nodes", self.nodes.len());
-        for n in &self.nodes {
-            w.u64("n_content", u64::from(n.content.0));
-            w.u64("n_known_stale", n.known_stale.map_or(0, |s| u64::from(s.0) + 1));
-            w.bool("n_mode_inval", matches!(n.mode, AdaptiveMode::Invalidation));
-            w.bool("n_fetch_pending", n.fetch_pending);
-            w.u64("n_timer_gen", n.timer_gen);
-            w.u64("n_fetch_token", n.fetch_token);
-            w.bool("n_absent", n.absent);
-            w.time("n_modified_at", n.content_modified_at);
-            w.f64("n_adaptive_s", n.adaptive_interval_s);
-            w.usize("n_waiting_children", n.waiting_children.len());
-            for c in &n.waiting_children {
-                w.u64("n_wc", u64::from(c.0));
-            }
-            w.usize("n_waiting_users", n.waiting_users.len());
-            for &u in &n.waiting_users {
-                w.u64("n_wu", u64::from(u));
-            }
-            w.usize("n_inval_registry", n.inval_registry.len());
-            for c in &n.inval_registry {
-                w.u64("n_ir", u64::from(c.0));
-            }
-            w.u64("n_last_invalidated", u64::from(n.last_invalidated.0));
-            w.usize("n_pending_pubs", n.pending_pubs.len());
-            for (s, t) in &n.pending_pubs {
-                w.u64("n_pp_snap", u64::from(s.0));
-                w.time("n_pp_t", *t);
-            }
-            let (count, mean, m2, min, max) = n.lag.raw();
-            w.u64("n_lag_count", count);
-            w.f64("n_lag_mean", mean);
-            w.f64("n_lag_m2", m2);
-            w.f64("n_lag_min", min);
-            w.f64("n_lag_max", max);
-            w.bool("n_probe_wait", n.awaiting_probe.is_some());
-            w.time("n_probe_t", n.awaiting_probe.unwrap_or(SimTime::ZERO));
-            w.u64("n_probe_gen", n.probe_gen);
+    /// *not* stored: a load overlays the dynamic state on a simulation
+    /// freshly built from the same [`SimConfig`], so an artifact is only
+    /// meaningful together with its configuration. A load rejects an
+    /// artifact that disagrees with the configuration about structure
+    /// (node/user counts, subsystem presence) or carries an id the
+    /// configuration does not build.
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let b = Bounds {
+            nodes: self.nodes.len(),
+            users: self.users.len(),
+            snaps: self.config.updates.len(),
+            slots: self.workload.as_ref().map_or(0, |wl| wl.catalog.len()),
+        };
+        self.sched.ckpt(c, |c, ev| ev.ckpt(c, &b))?;
+        c.rng("sim_rng", &mut self.rng)?;
+        // Per-node protocol state (trace contexts are observation-only: a
+        // restored node keeps the fresh simulation's `NONE`).
+        c.fixed_len("nodes", b.nodes)?;
+        for n in &mut self.nodes {
+            c.index("n_content", &mut n.content.0, b.snaps)?;
+            let mut stale = n.known_stale.map(|s| s.0);
+            c.opt_index("n_known_stale", &mut stale, b.snaps)?;
+            n.known_stale = stale.map(SnapshotId);
+            let mut inval = matches!(n.mode, AdaptiveMode::Invalidation);
+            c.bool("n_mode_inval", &mut inval)?;
+            n.mode = if inval { AdaptiveMode::Invalidation } else { AdaptiveMode::Ttl };
+            c.bool("n_fetch_pending", &mut n.fetch_pending)?;
+            c.u64("n_timer_gen", &mut n.timer_gen)?;
+            c.u64("n_fetch_token", &mut n.fetch_token)?;
+            c.bool("n_absent", &mut n.absent)?;
+            c.time("n_modified_at", &mut n.content_modified_at)?;
+            c.f64("n_adaptive_s", &mut n.adaptive_interval_s)?;
+            c.list("n_waiting_children", &mut n.waiting_children, |c, k| {
+                c.index("n_wc", &mut k.0, b.nodes)
+            })?;
+            c.list("n_waiting_users", &mut n.waiting_users, |c, u| c.index("n_wu", u, b.users))?;
+            c.list("n_inval_registry", &mut n.inval_registry, |c, k| {
+                c.index("n_ir", &mut k.0, b.nodes)
+            })?;
+            c.index("n_last_invalidated", &mut n.last_invalidated.0, b.snaps)?;
+            c.deque("n_pending_pubs", &mut n.pending_pubs, |c, (snap, t)| {
+                c.index("n_pp_snap", &mut snap.0, b.snaps)?;
+                c.time("n_pp_t", t)
+            })?;
+            n.lag.ckpt(c, "n_lag")?;
+            let mut waiting = n.awaiting_probe.is_some();
+            let mut sent = n.awaiting_probe.unwrap_or(SimTime::ZERO);
+            c.bool("n_probe_wait", &mut waiting)?;
+            c.time("n_probe_t", &mut sent)?;
+            n.awaiting_probe = waiting.then_some(sent);
+            c.u64("n_probe_gen", &mut n.probe_gen)?;
         }
         // Per-user state (home server and visit interval are derived from
         // the configuration, not stored).
-        w.usize("users", self.users.len());
-        for u in &self.users {
-            w.u64("u_last_server", u64::from(u.last_server.0));
-            w.u64("u_seen_max", u64::from(u.seen_max.0));
-            w.usize("u_pending_pubs", u.pending_pubs.len());
-            for (s, t) in &u.pending_pubs {
-                w.u64("u_pp_snap", u64::from(s.0));
-                w.time("u_pp_t", *t);
-            }
-            let (count, mean, m2, min, max) = u.lag.raw();
-            w.u64("u_lag_count", count);
-            w.f64("u_lag_mean", mean);
-            w.f64("u_lag_m2", m2);
-            w.f64("u_lag_min", min);
-            w.f64("u_lag_max", max);
-            w.u64("u_inconsistent", u.inconsistent_obs);
-            w.u64("u_total", u.total_obs);
+        c.fixed_len("users", b.users)?;
+        for u in &mut self.users {
+            c.index("u_last_server", &mut u.last_server.0, b.nodes)?;
+            c.index("u_seen_max", &mut u.seen_max.0, b.snaps)?;
+            c.deque("u_pending_pubs", &mut u.pending_pubs, |c, (snap, t)| {
+                c.index("u_pp_snap", &mut snap.0, b.snaps)?;
+                c.time("u_pp_t", t)
+            })?;
+            u.lag.ckpt(c, "u_lag")?;
+            c.u64("u_inconsistent", &mut u.inconsistent_obs)?;
+            c.u64("u_total", &mut u.total_obs)?;
         }
-        w.u64("provider_update_messages", self.provider_update_messages);
-        w.u64("server_update_messages", self.server_update_messages);
-        w.u64("chaos_lost", self.chaos.lost_to_failed);
-        w.u64("chaos_rtx", self.chaos.retransmits);
-        w.u64("chaos_abandoned", self.chaos.abandoned);
-        w.u64("chaos_abandoned_dep", self.chaos.abandoned_to_departed);
-        w.u64("chaos_dup", self.chaos.dup_suppressed);
-        w.u64("chaos_failovers", self.chaos.failovers);
-        w.u64("chaos_ttl_fallbacks", self.chaos.ttl_fallbacks);
-        w.u64("chaos_conv", self.chaos.convergence_violations);
+        c.u64("provider_update_messages", &mut self.provider_update_messages)?;
+        c.u64("server_update_messages", &mut self.server_update_messages)?;
+        let chaos = &mut self.chaos;
+        c.u64("chaos_lost", &mut chaos.lost_to_failed)?;
+        c.u64("chaos_rtx", &mut chaos.retransmits)?;
+        c.u64("chaos_abandoned", &mut chaos.abandoned)?;
+        c.u64("chaos_abandoned_dep", &mut chaos.abandoned_to_departed)?;
+        c.u64("chaos_dup", &mut chaos.dup_suppressed)?;
+        c.u64("chaos_failovers", &mut chaos.failovers)?;
+        c.u64("chaos_ttl_fallbacks", &mut chaos.ttl_fallbacks)?;
+        c.u64("chaos_conv", &mut chaos.convergence_violations)?;
         // Reliable-delivery ledger (fault-plan runs only).
-        w.bool("reliable", self.reliable.is_some());
-        if let Some(rel) = &self.reliable {
-            w.u64("rel_next_id", rel.next_id);
-            w.usize("rel_pending", rel.pending.len());
-            for (id, p) in &rel.pending {
-                w.u64("rp_id", *id);
-                w.u64("rp_src", u64::from(p.src.0));
-                w.u64("rp_dst", u64::from(p.dst.0));
-                w.u64("rp_attempts", u64::from(p.attempts));
-                w.u64("rp_rto_us", p.rto.as_micros());
-                p.msg.ckpt_write(&mut w);
+        c.present("reliable", self.reliable.is_some())?;
+        if let Some(rel) = &mut self.reliable {
+            c.u64("rel_next_id", &mut rel.next_id)?;
+            c.map("rel_pending", &mut rel.pending, |c, id, p| {
+                c.u64("rp_id", id)?;
+                c.index("rp_src", &mut p.src.0, b.nodes)?;
+                c.index("rp_dst", &mut p.dst.0, b.nodes)?;
+                c.u32("rp_attempts", &mut p.attempts)?;
+                c.duration("rp_rto_us", &mut p.rto)?;
+                p.msg.ckpt(c, &b, false)
+            })?;
+            c.fixed_len("rel_seen", rel.seen.len())?;
+            for seen in &mut rel.seen {
+                c.set("rs_len", seen, |c, id| c.u64("rs_id", id))?;
             }
-            w.usize("rel_seen", rel.seen.len());
-            for set in &rel.seen {
-                w.usize("rs_len", set.len());
-                for id in set {
-                    w.u64("rs_id", *id);
-                }
-            }
-            w.rng("rel_jitter", &rel.jitter_rng);
+            c.rng("rel_jitter", &mut rel.jitter_rng)?;
         }
         // Cluster bookkeeping: only the supernode vector mutates (failover);
         // membership is rebuilt from the checkpointed topology.
-        w.bool("clusters", self.clusters.is_some());
-        if let Some(cl) = &self.clusters {
-            w.usize("cl_supernodes", cl.supernode.len());
-            for sn in &cl.supernode {
-                w.u64("cl_sn", u64::from(sn.0));
+        c.present("clusters", self.clusters.is_some())?;
+        if let Some(cl) = &mut self.clusters {
+            c.fixed_len("cl_supernodes", cl.supernode.len())?;
+            for sn in &mut cl.supernode {
+                c.index("cl_sn", &mut sn.0, b.nodes)?;
             }
         }
-        self.topo.ckpt_write(&mut w);
-        w.bool("tree", self.tree.is_some());
-        if let Some(tree) = &self.tree {
-            tree.ckpt_write(&mut w);
+        self.topo.ckpt(c)?;
+        c.present("tree", self.tree.is_some())?;
+        if let Some(tree) = &mut self.tree {
+            tree.ckpt(c, b.nodes)?;
         }
         // Request plane (publish times are derived from the configuration).
-        w.bool("workload", self.workload.is_some());
-        if let Some(wl) = &self.workload {
-            wl.catalog.ckpt_write(&mut w);
-            w.usize("wl_caches", wl.caches.len());
-            for c in &wl.caches {
-                c.ckpt_write(&mut w);
+        c.present("workload", self.workload.is_some())?;
+        if let Some(wl) = &mut self.workload {
+            wl.catalog.ckpt(c)?;
+            c.fixed_len("wl_caches", wl.caches.len())?;
+            for cache in &mut wl.caches {
+                cache.ckpt(c, b.slots, b.snaps, b.users)?;
             }
-            w.rng("wl_rng", &wl.rng);
-            w.u64("wl_requests", wl.stats.requests);
-            w.u64("wl_hits", wl.stats.hits);
-            w.u64("wl_delayed_hits", wl.stats.delayed_hits);
-            w.u64("wl_misses", wl.stats.misses);
-            w.u64("wl_evictions", wl.stats.evictions);
-            w.u64("wl_origin_fetches", wl.stats.origin_fetches);
-            w.f64("wl_origin_kb", wl.stats.origin_kb);
-            w.u64("wl_churn_events", wl.stats.churn_events);
-            w.u64("wl_waiters_aborted", wl.stats.waiters_aborted);
-            w.u64("wl_orphan_fills", wl.stats.orphan_fills);
-            w.usize("wl_latency", wl.stats.latency_s.len());
-            for &v in &wl.stats.latency_s {
-                w.f64("wl_lat", v);
-            }
-            w.usize("wl_staleness", wl.stats.staleness_served_s.len());
-            for &v in &wl.stats.staleness_served_s {
-                w.f64("wl_stale", v);
-            }
+            c.rng("wl_rng", &mut wl.rng)?;
+            let st = &mut wl.stats;
+            c.u64("wl_requests", &mut st.requests)?;
+            c.u64("wl_hits", &mut st.hits)?;
+            c.u64("wl_delayed_hits", &mut st.delayed_hits)?;
+            c.u64("wl_misses", &mut st.misses)?;
+            c.u64("wl_evictions", &mut st.evictions)?;
+            c.u64("wl_origin_fetches", &mut st.origin_fetches)?;
+            c.f64("wl_origin_kb", &mut st.origin_kb)?;
+            c.u64("wl_churn_events", &mut st.churn_events)?;
+            c.u64("wl_waiters_aborted", &mut st.waiters_aborted)?;
+            c.u64("wl_orphan_fills", &mut st.orphan_fills)?;
+            c.list("wl_latency", &mut st.latency_s, |c, v| c.f64("wl_lat", v))?;
+            c.list("wl_staleness", &mut st.staleness_served_s, |c, v| c.f64("wl_stale", v))?;
         }
-        self.net.ckpt_write(&mut w);
+        self.net.ckpt(c)?;
         // Lifecycle bookkeeping (churn-plan runs only).
-        w.bool("lifecycle", self.lifecycle.is_some());
-        if let Some(lc) = &self.lifecycle {
-            w.usize("lc_nodes", lc.down_kind.len());
-            for k in &lc.down_kind {
-                w.u64(
-                    "lc_down",
-                    match k {
-                        None => 0,
-                        Some(ChurnKind::Leave) => 1,
-                        Some(ChurnKind::Crash) => 2,
-                    },
-                );
+        c.present("lifecycle", self.lifecycle.is_some())?;
+        if let Some(lc) = &mut self.lifecycle {
+            c.fixed_len("lc_nodes", lc.down_kind.len())?;
+            for kind in &mut lc.down_kind {
+                c.opt_of("lc_down", kind, &[ChurnKind::Leave, ChurnKind::Crash])?;
             }
-            w.u64("lc_joins", lc.joins);
-            w.u64("lc_leaves", lc.leaves);
-            w.u64("lc_crashes", lc.crashes);
+            c.u64("lc_joins", &mut lc.joins)?;
+            c.u64("lc_leaves", &mut lc.leaves)?;
+            c.u64("lc_crashes", &mut lc.crashes)?;
         }
         // Determinism-digest segment, so a restored run continues the saved
-        // run's chain and the audit trail stays bit-identical.
-        match self.obs.registry.digest_local_state() {
-            Some((events, chain, stride, checkpoints)) => {
-                w.bool("digest", true);
-                w.u64("dg_events", events);
-                w.u64("dg_chain", chain);
-                w.u64("dg_stride", stride);
-                w.usize("dg_checkpoints", checkpoints.len());
-                for cp in &checkpoints {
-                    w.u64("dg_idx", cp.index);
-                    w.u64("dg_val", cp.chain);
-                }
-            }
-            None => w.bool("digest", false),
-        }
-        w.finish()
-    }
-
-    /// Restores state written by [`CdnSimulation::ckpt_write`] into this
-    /// freshly constructed simulation (same configuration).
-    ///
-    /// Errors when the artifact is malformed or disagrees with the
-    /// configuration about structure (node/user counts, subsystem
-    /// presence).
-    fn ckpt_read(&mut self, artifact: &str) -> Result<(), CkptError> {
-        let mut r = CkptReader::new(artifact, "cdn-sim")?;
-        let now = r.time("sched_now")?;
-        let processed = r.u64("sched_processed")?;
-        let next_seq = r.u64("sched_next_seq")?;
-        let n_entries = r.usize("sched_entries")?;
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let t = r.time("ev_t")?;
-            let seq = r.u64("ev_seq")?;
-            entries.push((t, seq, Event::ckpt_read(&mut r)?));
-        }
-        self.sched.restore_state(now, processed, entries, next_seq);
-        self.rng = r.rng("sim_rng")?;
-        let n = r.usize("nodes")?;
-        if n != self.nodes.len() {
-            return Err(CkptError(format!(
-                "simulation has {} nodes, checkpoint carries {n}",
-                self.nodes.len()
-            )));
-        }
-        for node in &mut self.nodes {
-            node.content = SnapshotId(r.u64("n_content")? as u32);
-            let stale = r.u64("n_known_stale")?;
-            node.known_stale = if stale == 0 { None } else { Some(SnapshotId((stale - 1) as u32)) };
-            node.mode = if r.bool("n_mode_inval")? {
-                AdaptiveMode::Invalidation
-            } else {
-                AdaptiveMode::Ttl
-            };
-            node.fetch_pending = r.bool("n_fetch_pending")?;
-            node.timer_gen = r.u64("n_timer_gen")?;
-            node.fetch_token = r.u64("n_fetch_token")?;
-            node.absent = r.bool("n_absent")?;
-            node.content_modified_at = r.time("n_modified_at")?;
-            node.adaptive_interval_s = r.f64("n_adaptive_s")?;
-            node.waiting_children.clear();
-            for _ in 0..r.usize("n_waiting_children")? {
-                node.waiting_children.push(NodeId(r.u64("n_wc")? as u32));
-            }
-            node.waiting_users.clear();
-            for _ in 0..r.usize("n_waiting_users")? {
-                node.waiting_users.push(r.u64("n_wu")? as u32);
-            }
-            node.inval_registry.clear();
-            for _ in 0..r.usize("n_inval_registry")? {
-                node.inval_registry.push(NodeId(r.u64("n_ir")? as u32));
-            }
-            node.last_invalidated = SnapshotId(r.u64("n_last_invalidated")? as u32);
-            node.pending_pubs.clear();
-            for _ in 0..r.usize("n_pending_pubs")? {
-                let snap = SnapshotId(r.u64("n_pp_snap")? as u32);
-                node.pending_pubs.push_back((snap, r.time("n_pp_t")?));
-            }
-            let count = r.u64("n_lag_count")?;
-            let mean = r.f64("n_lag_mean")?;
-            let m2 = r.f64("n_lag_m2")?;
-            let min = r.f64("n_lag_min")?;
-            let max = r.f64("n_lag_max")?;
-            node.lag = OnlineStats::from_raw(count, mean, m2, min, max);
-            node.content_ctx = TraceCtx::NONE;
-            let probe_wait = r.bool("n_probe_wait")?;
-            let probe_t = r.time("n_probe_t")?;
-            node.awaiting_probe = probe_wait.then_some(probe_t);
-            node.probe_gen = r.u64("n_probe_gen")?;
-        }
-        let n_users = r.usize("users")?;
-        if n_users != self.users.len() {
-            return Err(CkptError(format!(
-                "simulation has {} users, checkpoint carries {n_users}",
-                self.users.len()
-            )));
-        }
-        for user in &mut self.users {
-            user.last_server = NodeId(r.u64("u_last_server")? as u32);
-            user.seen_max = SnapshotId(r.u64("u_seen_max")? as u32);
-            user.pending_pubs.clear();
-            for _ in 0..r.usize("u_pending_pubs")? {
-                let snap = SnapshotId(r.u64("u_pp_snap")? as u32);
-                user.pending_pubs.push_back((snap, r.time("u_pp_t")?));
-            }
-            let count = r.u64("u_lag_count")?;
-            let mean = r.f64("u_lag_mean")?;
-            let m2 = r.f64("u_lag_m2")?;
-            let min = r.f64("u_lag_min")?;
-            let max = r.f64("u_lag_max")?;
-            user.lag = OnlineStats::from_raw(count, mean, m2, min, max);
-            user.inconsistent_obs = r.u64("u_inconsistent")?;
-            user.total_obs = r.u64("u_total")?;
-        }
-        self.provider_update_messages = r.u64("provider_update_messages")?;
-        self.server_update_messages = r.u64("server_update_messages")?;
-        self.chaos.lost_to_failed = r.u64("chaos_lost")?;
-        self.chaos.retransmits = r.u64("chaos_rtx")?;
-        self.chaos.abandoned = r.u64("chaos_abandoned")?;
-        self.chaos.abandoned_to_departed = r.u64("chaos_abandoned_dep")?;
-        self.chaos.dup_suppressed = r.u64("chaos_dup")?;
-        self.chaos.failovers = r.u64("chaos_failovers")?;
-        self.chaos.ttl_fallbacks = r.u64("chaos_ttl_fallbacks")?;
-        self.chaos.convergence_violations = r.u64("chaos_conv")?;
-        let has_reliable = r.bool("reliable")?;
-        match (&mut self.reliable, has_reliable) {
-            (Some(rel), true) => {
-                rel.next_id = r.u64("rel_next_id")?;
-                rel.pending.clear();
-                for _ in 0..r.usize("rel_pending")? {
-                    let id = r.u64("rp_id")?;
-                    let src = NodeId(r.u64("rp_src")? as u32);
-                    let dst = NodeId(r.u64("rp_dst")? as u32);
-                    let attempts = r.u64("rp_attempts")? as u32;
-                    let rto = SimDuration::from_micros(r.u64("rp_rto_us")?);
-                    let msg = Msg::ckpt_read(&mut r)?;
-                    rel.pending.insert(id, PendingDelivery { src, dst, msg, attempts, rto });
-                }
-                let n_seen = r.usize("rel_seen")?;
-                if n_seen != rel.seen.len() {
-                    return Err(CkptError(format!(
-                        "reliable ledger has {} nodes, checkpoint carries {n_seen}",
-                        rel.seen.len()
-                    )));
-                }
-                for set in &mut rel.seen {
-                    set.clear();
-                    for _ in 0..r.usize("rs_len")? {
-                        set.insert(r.u64("rs_id")?);
-                    }
-                }
-                rel.jitter_rng = r.rng("rel_jitter")?;
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "fault plan {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_reliable { "present" } else { "absent" },
-                )));
+        // run's chain and the audit trail stays bit-identical. A load into a
+        // registry with no digest armed skips the continuation — it is then
+        // irrelevant, not an error.
+        let mut digest = self.obs.registry.digest_local_state();
+        let mut armed = digest.is_some();
+        c.bool("digest", &mut armed)?;
+        if armed {
+            let (events, chain, stride, checkpoints) = digest.get_or_insert_with(Default::default);
+            c.u64("dg_events", events)?;
+            c.u64("dg_chain", chain)?;
+            c.u64("dg_stride", stride)?;
+            c.list("dg_checkpoints", checkpoints, |c, cp| {
+                c.u64("dg_idx", &mut cp.index)?;
+                c.u64("dg_val", &mut cp.chain)
+            })?;
+            if c.is_load() {
+                let checkpoints = std::mem::take(checkpoints);
+                self.obs.registry.restore_digest_local(*events, *chain, *stride, checkpoints);
             }
         }
-        let has_clusters = r.bool("clusters")?;
-        match (&mut self.clusters, has_clusters) {
-            (Some(cl), true) => {
-                let n_sn = r.usize("cl_supernodes")?;
-                if n_sn != cl.supernode.len() {
-                    return Err(CkptError(format!(
-                        "cluster map has {} supernodes, checkpoint carries {n_sn}",
-                        cl.supernode.len()
-                    )));
-                }
-                for sn in &mut cl.supernode {
-                    *sn = NodeId(r.u64("cl_sn")? as u32);
-                }
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "cluster state {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_clusters { "present" } else { "absent" },
-                )));
-            }
-        }
-        self.topo.ckpt_read(&mut r)?;
-        let has_tree = r.bool("tree")?;
-        match (&mut self.tree, has_tree) {
-            (Some(tree), true) => tree.ckpt_read(&mut r)?,
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "distribution tree {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_tree { "present" } else { "absent" },
-                )));
-            }
-        }
-        let has_workload = r.bool("workload")?;
-        match (&mut self.workload, has_workload) {
-            (Some(wl), true) => {
-                wl.catalog.ckpt_read(&mut r)?;
-                let n_caches = r.usize("wl_caches")?;
-                if n_caches != wl.caches.len() {
-                    return Err(CkptError(format!(
-                        "workload has {} caches, checkpoint carries {n_caches}",
-                        wl.caches.len()
-                    )));
-                }
-                for c in &mut wl.caches {
-                    c.ckpt_read(&mut r)?;
-                }
-                wl.rng = r.rng("wl_rng")?;
-                wl.stats.requests = r.u64("wl_requests")?;
-                wl.stats.hits = r.u64("wl_hits")?;
-                wl.stats.delayed_hits = r.u64("wl_delayed_hits")?;
-                wl.stats.misses = r.u64("wl_misses")?;
-                wl.stats.evictions = r.u64("wl_evictions")?;
-                wl.stats.origin_fetches = r.u64("wl_origin_fetches")?;
-                wl.stats.origin_kb = r.f64("wl_origin_kb")?;
-                wl.stats.churn_events = r.u64("wl_churn_events")?;
-                wl.stats.waiters_aborted = r.u64("wl_waiters_aborted")?;
-                wl.stats.orphan_fills = r.u64("wl_orphan_fills")?;
-                wl.stats.latency_s.clear();
-                for _ in 0..r.usize("wl_latency")? {
-                    wl.stats.latency_s.push(r.f64("wl_lat")?);
-                }
-                wl.stats.staleness_served_s.clear();
-                for _ in 0..r.usize("wl_staleness")? {
-                    wl.stats.staleness_served_s.push(r.f64("wl_stale")?);
-                }
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "workload plan {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_workload { "present" } else { "absent" },
-                )));
-            }
-        }
-        self.net.ckpt_read(&mut r)?;
-        let has_lifecycle = r.bool("lifecycle")?;
-        match (&mut self.lifecycle, has_lifecycle) {
-            (Some(lc), true) => {
-                let n_lc = r.usize("lc_nodes")?;
-                if n_lc != lc.down_kind.len() {
-                    return Err(CkptError(format!(
-                        "lifecycle tracks {} nodes, checkpoint carries {n_lc}",
-                        lc.down_kind.len()
-                    )));
-                }
-                for k in &mut lc.down_kind {
-                    *k = match r.u64("lc_down")? {
-                        0 => None,
-                        1 => Some(ChurnKind::Leave),
-                        2 => Some(ChurnKind::Crash),
-                        t => return Err(CkptError(format!("unknown churn-kind tag {t}"))),
-                    };
-                }
-                lc.joins = r.u64("lc_joins")?;
-                lc.leaves = r.u64("lc_leaves")?;
-                lc.crashes = r.u64("lc_crashes")?;
-            }
-            (None, false) => {}
-            (present, _) => {
-                return Err(CkptError(format!(
-                    "churn plan {} here but {} in the checkpoint",
-                    if present.is_some() { "attached" } else { "absent" },
-                    if has_lifecycle { "present" } else { "absent" },
-                )));
-            }
-        }
-        if r.bool("digest")? {
-            let events = r.u64("dg_events")?;
-            let chain = r.u64("dg_chain")?;
-            let stride = r.u64("dg_stride")?;
-            let mut checkpoints = Vec::new();
-            for _ in 0..r.usize("dg_checkpoints")? {
-                let index = r.u64("dg_idx")?;
-                checkpoints.push(Checkpoint { index, chain: r.u64("dg_val")? });
-            }
-            // `false` just means this run's registry has no digest armed —
-            // the chain continuation is then irrelevant, not an error.
-            let _ = self.obs.registry.restore_digest_local(events, chain, stride, checkpoints);
-        }
-        r.done()
+        Ok(())
     }
 
     fn into_report(self) -> SimReport {

@@ -9,7 +9,7 @@ use crate::method::MethodKind;
 use crate::tree::DistributionTree;
 use cdnc_geo::{cluster_by_hilbert, GeoPoint};
 use cdnc_net::{Network, NodeId};
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimRng;
 
 /// The update topology of a deployment.
@@ -185,90 +185,28 @@ impl Topology {
         self.supernodes.contains(&node)
     }
 
-    /// Serializes the mutable wiring (upstream, downstream in live order,
-    /// methods, supernodes) into a checkpoint. Provider and server count
-    /// are written for verification; they are reconstructed, not restored.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.u64("topo_provider", u64::from(self.provider.0));
-        w.usize("topo_servers", self.servers.len());
-        w.usize("topo_nodes", self.upstream.len());
-        for up in &self.upstream {
-            match up {
-                Some(p) => w.u64("topo_up", u64::from(p.0) + 1),
-                None => w.u64("topo_up", 0),
-            }
-        }
-        for down in &self.downstream {
-            w.usize("topo_down", down.len());
-            for d in down {
-                w.u64("topo_kid", u64::from(d.0));
-            }
-        }
-        for m in &self.method {
-            let tag = match m {
-                None => 0,
-                Some(k) => {
-                    1 + MethodKind::ALL.iter().position(|&a| a == *k).expect("known method") as u64
-                }
-            };
-            w.u64("topo_method", tag);
-        }
-        w.usize("topo_supernodes", self.supernodes.len());
-        for sn in &self.supernodes {
-            w.u64("topo_sn", u64::from(sn.0));
-        }
-    }
-
-    /// Restores the wiring written by [`Topology::ckpt_write`]. Errors if
-    /// the artifact disagrees with this topology's shape (provider id,
-    /// server count, node count).
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        if r.u64("topo_provider")? != u64::from(self.provider.0) {
-            return Err(CkptError("checkpoint provider mismatch".to_owned()));
-        }
-        if r.usize("topo_servers")? != self.servers.len() {
-            return Err(CkptError("checkpoint server count mismatch".to_owned()));
-        }
-        if r.usize("topo_nodes")? != self.upstream.len() {
-            return Err(CkptError("checkpoint node count mismatch".to_owned()));
-        }
+    /// Checkpoints the mutable wiring (upstream, downstream in live order,
+    /// methods, supernodes). Provider, server count and node count are
+    /// construction parameters, saved for verification: a load that
+    /// disagrees with this topology's shape is rejected, as is any node id
+    /// past the node count.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.fixed_len("topo_provider", self.provider.index())?;
+        c.fixed_len("topo_servers", self.servers.len())?;
         let n = self.upstream.len();
-        let mut upstream = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u64("topo_up")?;
-            upstream.push(if tag == 0 { None } else { Some(NodeId((tag - 1) as u32)) });
+        c.fixed_len("topo_nodes", n)?;
+        for up in &mut self.upstream {
+            let mut raw = up.map(|p| p.0);
+            c.opt_index("topo_up", &mut raw, n)?;
+            *up = raw.map(NodeId);
         }
-        let mut downstream = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = r.usize("topo_down")?;
-            let mut kids = Vec::with_capacity(k);
-            for _ in 0..k {
-                kids.push(NodeId(r.u64("topo_kid")? as u32));
-            }
-            downstream.push(kids);
+        for down in &mut self.downstream {
+            c.list("topo_down", down, |c, d| c.index("topo_kid", &mut d.0, n))?;
         }
-        let mut method = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u64("topo_method")?;
-            method.push(match tag {
-                0 => None,
-                t => Some(
-                    *MethodKind::ALL
-                        .get(t as usize - 1)
-                        .ok_or_else(|| CkptError(format!("unknown method tag {t}")))?,
-                ),
-            });
+        for m in &mut self.method {
+            c.opt_of("topo_method", m, &MethodKind::ALL)?;
         }
-        let k = r.usize("topo_supernodes")?;
-        let mut supernodes = Vec::with_capacity(k);
-        for _ in 0..k {
-            supernodes.push(NodeId(r.u64("topo_sn")? as u32));
-        }
-        self.upstream = upstream;
-        self.downstream = downstream;
-        self.method = method;
-        self.supernodes = supernodes;
-        Ok(())
+        c.list("topo_supernodes", &mut self.supernodes, |c, sn| c.index("topo_sn", &mut sn.0, n))
     }
 }
 

@@ -98,18 +98,20 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 
-    /// Ordered view of every pending entry as `(time, seq, event)` in pop
-    /// order, plus the insertion counter. Feeding the triples (with cloned
-    /// events) back through [`EventQueue::from_entries`] reproduces this
-    /// queue exactly — including FIFO tie-breaking among equal timestamps —
-    /// which is what checkpoint/restore needs for bit-identical replay.
-    pub fn entries(&self) -> (Vec<(SimTime, u64, &E)>, u64) {
-        let mut out: Vec<_> = self.heap.iter().map(|e| (e.time, e.seq, &e.event)).collect();
-        out.sort_by_key(|&(time, seq, _)| (time, seq));
-        (out, self.next_seq)
+    /// Takes every pending entry out as `(time, seq, event)` in pop order,
+    /// plus the insertion counter, leaving the queue empty. Feeding them
+    /// back through [`EventQueue::from_entries`] reproduces the queue
+    /// exactly — including FIFO tie-breaking among equal timestamps — which
+    /// is what checkpoint/restore needs for bit-identical replay.
+    pub fn take_entries(&mut self) -> (Vec<(SimTime, u64, E)>, u64) {
+        let mut sorted = std::mem::take(&mut self.heap).into_sorted_vec();
+        // `Entry`'s order is inverted for the max-heap: reverse to pop order.
+        sorted.reverse();
+        (sorted.into_iter().map(|e| (e.time, e.seq, e.event)).collect(), self.next_seq)
     }
 
-    /// Rebuilds a queue from entry triples captured by [`EventQueue::entries`].
+    /// Rebuilds a queue from entry triples captured by
+    /// [`EventQueue::take_entries`].
     /// Sequence numbers are reinstated verbatim so same-time events keep their
     /// original pop order, and fresh pushes continue from `next_seq`.
     ///
@@ -118,11 +120,13 @@ impl<E> EventQueue<E> {
     /// Panics if an entry's `seq` is not below `next_seq` — such a queue could
     /// hand out a duplicate sequence number and break the FIFO invariant.
     pub fn from_entries(entries: Vec<(SimTime, u64, E)>, next_seq: u64) -> Self {
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for (time, seq, event) in entries {
-            assert!(seq < next_seq, "entry seq {seq} not below next_seq {next_seq}");
-            heap.push(Entry { time, seq, event });
-        }
+        let heap = entries
+            .into_iter()
+            .map(|(time, seq, event)| {
+                assert!(seq < next_seq, "entry seq {seq} not below next_seq {next_seq}");
+                Entry { time, seq, event }
+            })
+            .collect();
         EventQueue { heap, next_seq }
     }
 }
@@ -195,10 +199,10 @@ mod tests {
             q.push(SimTime::from_secs(secs), tag);
         }
         q.pop(); // consume "a" so restored seqs are non-contiguous
-        let (entries, next_seq) = q.entries();
+        let (entries, next_seq) = q.take_entries();
         assert_eq!(next_seq, 4);
-        let owned: Vec<_> = entries.into_iter().map(|(t, s, e)| (t, s, *e)).collect();
-        let mut restored = EventQueue::from_entries(owned, next_seq);
+        assert!(q.is_empty());
+        let mut restored = EventQueue::from_entries(entries, next_seq);
         restored.push(SimTime::from_secs(2), "e");
         let order: Vec<_> = std::iter::from_fn(|| restored.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, ["d", "b", "c", "e"], "tie order and fresh pushes survive");

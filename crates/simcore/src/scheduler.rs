@@ -4,6 +4,7 @@
 //! the crawl simulator that synthesises the measurement trace and the CDN
 //! evaluation simulator that replays it under alternative update methods.
 
+use crate::ckpt::{Ckpt, CkptError};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use cdnc_obs::profile::{self, Subsystem};
@@ -161,30 +162,45 @@ impl<E> Scheduler<E> {
         self.queue.peek_time()
     }
 
-    /// Checkpoint view of the dynamic scheduler state: the clock, the
-    /// processed-event count, and every pending entry in pop order (see
-    /// [`EventQueue::entries`]). Instrumentation handles are not part of the
-    /// snapshot — they are rewired by [`Scheduler::set_obs`] on restore.
-    pub fn state(&self) -> (SimTime, u64, Vec<(SimTime, u64, &E)>, u64) {
-        let (entries, next_seq) = self.queue.entries();
-        (self.now, self.processed, entries, next_seq)
-    }
-
-    /// Overwrites the dynamic state with a snapshot captured by
-    /// [`Scheduler::state`]: clock, processed count, and the exact pending
-    /// queue including sequence numbers, so restored runs pop — and digest —
-    /// identically to the uninterrupted run.
-    pub fn restore_state(
+    /// Checkpoints the dynamic scheduler state: the clock, the
+    /// processed-event count, and the exact pending queue in pop order
+    /// including sequence numbers, so restored runs pop — and digest —
+    /// identically to the uninterrupted run. `event` is the codec of one
+    /// pending event. Instrumentation handles are not part of the
+    /// checkpoint — they are rewired by [`Scheduler::set_obs`].
+    ///
+    /// A load rejects entries out of pop order, scheduled before the
+    /// restored clock, or numbered at or past the insertion counter.
+    pub fn ckpt(
         &mut self,
-        now: SimTime,
-        processed: u64,
-        entries: Vec<(SimTime, u64, E)>,
-        next_seq: u64,
-    ) {
+        c: &mut Ckpt<'_>,
+        mut event: impl FnMut(&mut Ckpt<'_>, &mut E) -> Result<(), CkptError>,
+    ) -> Result<(), CkptError>
+    where
+        E: Default,
+    {
+        c.time("sched_now", &mut self.now)?;
+        c.u64("sched_processed", &mut self.processed)?;
+        let (mut entries, mut next_seq) = self.queue.take_entries();
+        c.u64("sched_next_seq", &mut next_seq)?;
+        c.list("sched_entries", &mut entries, |c, (t, seq, ev)| {
+            c.time("ev_t", t)?;
+            c.u64("ev_seq", seq)?;
+            event(c, ev)
+        })?;
+        let mut prev = None;
+        for &(t, seq, _) in &entries {
+            if t < self.now || seq >= next_seq || prev.is_some_and(|p| p >= (t, seq)) {
+                return Err(CkptError(format!(
+                    "pending event at {t} seq {seq} is out of order (clock {}, next seq {next_seq})",
+                    self.now
+                )));
+            }
+            prev = Some((t, seq));
+        }
         self.queue = EventQueue::from_entries(entries, next_seq);
-        self.now = now;
-        self.processed = processed;
         self.obs_depth.set(self.queue.len() as u64);
+        Ok(())
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -407,18 +423,21 @@ mod tests {
     fn restored_state_pops_identically() {
         let mut straight = Scheduler::with_horizon(SimTime::from_secs(60));
         let t = SimTime::from_secs(5);
-        for ev in ["a", "b", "c"] {
+        for ev in [1u64, 2, 3] {
             straight.schedule_at(t, ev);
         }
-        straight.schedule_at(SimTime::from_secs(1), "early");
+        straight.schedule_at(SimTime::from_secs(1), 9);
         straight.next().unwrap();
         // Capture mid-run, then drain both the original and the restored copy.
-        let (now, processed, entries, next_seq) = straight.state();
-        assert_eq!((now, processed), (SimTime::from_secs(1), 1));
-        let owned: Vec<_> = entries.iter().map(|&(t, s, e)| (t, s, *e)).collect();
+        let codec = |c: &mut Ckpt<'_>, ev: &mut u64| c.u64("ev", ev);
+        let mut c = Ckpt::save("test");
+        straight.ckpt(&mut c, codec).unwrap();
+        let text = c.finish();
         let mut resumed = Scheduler::with_horizon(SimTime::from_secs(60));
-        resumed.restore_state(now, processed, owned, next_seq);
-        assert_eq!(resumed.now(), now);
+        let mut c = Ckpt::load(&text, "test").unwrap();
+        resumed.ckpt(&mut c, codec).unwrap();
+        c.done().unwrap();
+        assert_eq!((resumed.now(), resumed.processed()), (SimTime::from_secs(1), 1));
         assert_eq!(resumed.peek_time(), Some(t));
         loop {
             match (straight.next(), resumed.next()) {
@@ -427,6 +446,11 @@ mod tests {
             }
         }
         assert_eq!(straight.processed(), resumed.processed());
+        // A pending entry numbered past the insertion counter is rejected
+        // (it could collide with a fresh push), not restored.
+        let bad = text.replacen("sched_next_seq=4", "sched_next_seq=2", 1);
+        let mut c = Ckpt::load(&bad, "test").unwrap();
+        assert!(Scheduler::<u64>::new().ckpt(&mut c, codec).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! cost at the next miss.
 
 use crate::catalog::ObjectId;
-use cdnc_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
+use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::SimTime;
 use std::collections::BTreeMap;
 
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 const MAD_WINDOW: usize = 8;
 
 /// A request queued behind an in-flight origin fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Waiter {
     /// The requesting user's index.
     pub user: u32,
@@ -46,14 +46,14 @@ pub enum Lookup {
     Miss,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry {
     snap: u32,
     tick: u64,
     uses: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct InFlight {
     waiters: Vec<Waiter>,
 }
@@ -210,62 +210,47 @@ impl LruCache {
         self.abort_inflight()
     }
 
-    /// Serializes the cache's dynamic state — recency clock, cached entries,
-    /// and in-flight fetches with their waiter queues — into a checkpoint
-    /// artifact. Capacity and the eviction variant are construction
-    /// parameters rebuilt from config.
-    pub fn ckpt_write(&self, w: &mut CkptWriter) {
-        w.u64("cache_tick", self.tick);
-        w.usize("cache_entries", self.entries.len());
-        for (id, entry) in &self.entries {
-            w.u64("cache_slot", id.slot as u64);
-            w.u64("cache_gen", id.gen as u64);
-            w.u64("cache_snap", entry.snap as u64);
-            w.u64("cache_entry_tick", entry.tick);
-            w.u64("cache_uses", entry.uses);
-        }
-        w.usize("cache_inflight", self.inflight.len());
-        for (id, fetch) in &self.inflight {
-            w.u64("cache_slot", id.slot as u64);
-            w.u64("cache_gen", id.gen as u64);
-            w.usize("cache_waiters", fetch.waiters.len());
-            for waiter in &fetch.waiters {
-                w.u64("cache_waiter_user", waiter.user as u64);
-                w.time("cache_waiter_at", waiter.requested_at);
+    /// Checkpoints the cache's dynamic state — recency clock, cached
+    /// entries, and in-flight fetches with their waiter queues. Capacity
+    /// and the eviction variant are construction parameters rebuilt from
+    /// config. Loading checks catalog ranks against `slots`, cached
+    /// snapshots against `snaps` and waiting users against `users`, and
+    /// rebuilds the recency index from the entries' ticks.
+    pub fn ckpt(
+        &mut self,
+        c: &mut Ckpt<'_>,
+        slots: usize,
+        snaps: usize,
+        users: usize,
+    ) -> Result<(), CkptError> {
+        let object = |c: &mut Ckpt<'_>, id: &mut ObjectId| {
+            c.index("cache_slot", &mut id.slot, slots)?;
+            c.u32("cache_gen", &mut id.gen)
+        };
+        c.u64("cache_tick", &mut self.tick)?;
+        c.map("cache_entries", &mut self.entries, |c, id, entry| {
+            object(c, id)?;
+            c.index("cache_snap", &mut entry.snap, snaps)?;
+            c.u64("cache_entry_tick", &mut entry.tick)?;
+            c.u64("cache_uses", &mut entry.uses)
+        })?;
+        c.map("cache_inflight", &mut self.inflight, |c, id, fetch| {
+            object(c, id)?;
+            c.list("cache_waiters", &mut fetch.waiters, |c, w| {
+                c.index("cache_waiter_user", &mut w.user, users)?;
+                c.time("cache_waiter_at", &mut w.requested_at)
+            })
+        })?;
+        if c.is_load() {
+            self.recency = self.entries.iter().map(|(&id, e)| (e.tick, id)).collect();
+            if self.recency.len() != self.entries.len() || self.entries.len() > self.capacity {
+                return Err(CkptError(format!(
+                    "cache holds {} entries under {} distinct ticks (capacity {})",
+                    self.entries.len(),
+                    self.recency.len(),
+                    self.capacity
+                )));
             }
-        }
-    }
-
-    /// Restores state written by [`LruCache::ckpt_write`] into this cache,
-    /// replacing whatever it held; the recency index is rebuilt from the
-    /// entries' ticks.
-    pub fn ckpt_read(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.tick = r.u64("cache_tick")?;
-        self.entries.clear();
-        self.recency.clear();
-        self.inflight.clear();
-        for _ in 0..r.usize("cache_entries")? {
-            let id =
-                ObjectId { slot: r.u64("cache_slot")? as u32, gen: r.u64("cache_gen")? as u32 };
-            let entry = Entry {
-                snap: r.u64("cache_snap")? as u32,
-                tick: r.u64("cache_entry_tick")?,
-                uses: r.u64("cache_uses")?,
-            };
-            self.recency.insert(entry.tick, id);
-            self.entries.insert(id, entry);
-        }
-        for _ in 0..r.usize("cache_inflight")? {
-            let id =
-                ObjectId { slot: r.u64("cache_slot")? as u32, gen: r.u64("cache_gen")? as u32 };
-            let mut waiters = Vec::new();
-            for _ in 0..r.usize("cache_waiters")? {
-                waiters.push(Waiter {
-                    user: r.u64("cache_waiter_user")? as u32,
-                    requested_at: r.time("cache_waiter_at")?,
-                });
-            }
-            self.inflight.insert(id, InFlight { waiters });
         }
         Ok(())
     }
@@ -417,13 +402,13 @@ mod tests {
         filled(&mut cache, 2);
         assert_eq!(cache.request(id(8), 4, SimTime::from_secs(2)), Lookup::Miss);
         assert_eq!(cache.request(id(8), 5, SimTime::from_secs(3)), Lookup::Delayed);
-        let mut w = CkptWriter::new("test");
-        cache.ckpt_write(&mut w);
-        let text = w.finish();
+        let mut c = Ckpt::save("test");
+        cache.ckpt(&mut c, 16, 16, 16).unwrap();
+        let text = c.finish();
         let mut restored = LruCache::new(2, true);
-        let mut r = CkptReader::new(&text, "test").unwrap();
-        restored.ckpt_read(&mut r).unwrap();
-        r.done().unwrap();
+        let mut c = Ckpt::load(&text, "test").unwrap();
+        restored.ckpt(&mut c, 16, 16, 16).unwrap();
+        c.done().unwrap();
         assert_eq!(restored.len(), cache.len());
         assert_eq!(restored.inflight(), 1);
         // The in-flight fetch still carries both waiters…

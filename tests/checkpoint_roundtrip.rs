@@ -108,6 +108,33 @@ fn structural_mismatch_and_tampering_fail_loudly() {
     let truncated: String = artifact.lines().take(40).map(|l| format!("{l}\n")).collect();
     assert!(resume(&base, &truncated).is_err(), "truncation must be rejected");
     assert!(resume(&base, "not an artifact").is_err(), "garbage must be rejected");
+
+    // Out-of-range values are rejected before anything truncates them,
+    // indexes with them, or allocates from them.
+    let storm = cfg(3, 0.8, false);
+    let artifact = checkpoint(&storm, SimTime::from_secs(340));
+    let arrive = artifact.find("\nev=2\n").expect("a message in flight") + "\nev=2\n".len();
+    for (key, after, value, why) in [
+        ("a", arrive, "4294967297", "node id wider than u32 (would truncate to node 1)"),
+        ("a", arrive, "50000", "node id past the fleet size (would index out of bounds)"),
+        (
+            "sched_entries",
+            0,
+            "100000000000000",
+            "queue length past the artifact size (would abort)",
+        ),
+    ] {
+        let err = resume(&storm, &set_field(&artifact, after, key, value)).expect_err(why);
+        assert!(err.0.contains(&format!("{key}={value}")), "{why}: {err}");
+    }
+}
+
+/// `artifact` with the first `key=` line at or after byte `from` set to
+/// `key=value`.
+fn set_field(artifact: &str, from: usize, key: &str, value: &str) -> String {
+    let start = from + artifact[from..].find(&format!("{key}=")).expect("field present");
+    let end = start + artifact[start..].find('\n').expect("terminated line");
+    format!("{}{key}={value}{}", &artifact[..start], &artifact[end..])
 }
 
 #[test]
@@ -131,4 +158,70 @@ fn replay_artifact_self_verifies_end_to_end() {
     assert!(full.chain_match && full.report_match, "full replay diverged");
     let window = replay(&text, Some(SimTime::from_secs(360))).expect("windowed replay");
     assert!(window.chain_match && window.report_match, "anomaly-window replay diverged");
+}
+
+/// FNV-1a over the artifact bytes: a cheap, dependency-free fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The artifact format is pinned: four small fixed cells that together
+/// exercise every optional section hash to the same bytes they did when
+/// the format was introduced. A codec change that alters a key, an
+/// encoding, or the field order — and so breaks existing artifacts —
+/// fails here even when save and restore still agree with each other.
+#[test]
+fn artifact_format_is_pinned() {
+    let base = |scheme| {
+        let mut cfg =
+            SimConfig::section4(scheme, UpdateSequence::live_game(&mut SimRng::seed_from_u64(7)));
+        cfg.servers = 12;
+        cfg
+    };
+    // Pause times are picked so each artifact carries in-flight work:
+    // messages on the wire, pending publishes, tracked deliveries, cache
+    // waiters and departed nodes.
+    let at = SimTime::from_secs;
+    // Plain unicast: every optional section absent.
+    let plain = checkpoint(&base(Scheme::Unicast(MethodKind::Push)), at(450));
+    // Multicast: distribution tree present.
+    let tree = checkpoint(
+        &base(Scheme::Multicast { method: MethodKind::Invalidation, arity: 2 }),
+        at(450),
+    );
+    // HAT with graceful degradation under a fault plan: reliable ledger
+    // and cluster map present.
+    let mut hat = base(Scheme::hat());
+    hat.faults = Some(FaultPlan { hat_degradation: true, ..FaultPlan::at_intensity(0.5) });
+    let hat = checkpoint(&hat, at(1200));
+    // Fault plan + workload + churn with a digest-armed registry: request
+    // plane, lifecycle and digest segment present.
+    let mut full = base(Scheme::hat());
+    full.faults = Some(FaultPlan::at_intensity(0.3));
+    full.workload = Some(WorkloadPlan::default());
+    full.churn = Some(ChurnPlan::at_intensity(0.8));
+    let full = checkpoint_with_obs(&full, &digest_registry(), at(500));
+
+    for (section, art) in [("tree", &tree), ("reliable", &hat), ("clusters", &hat)] {
+        assert!(art.contains(&format!("\n{section}=1\n")), "{section} section present");
+    }
+    for section in ["workload", "lifecycle", "digest"] {
+        assert!(full.contains(&format!("\n{section}=1\n")), "{section} section present");
+    }
+    for section in ["reliable", "clusters", "tree", "workload", "lifecycle", "digest"] {
+        assert!(plain.contains(&format!("\n{section}=0\n")), "{section} section absent");
+    }
+    let got = [&plain, &tree, &hat, &full].map(|a| fnv1a(a.as_bytes()));
+    assert_eq!(
+        got,
+        [
+            0x1c69_bb7b_aaa7_136f,
+            0xa940_56f8_3c5b_1532,
+            0x3194_ff06_2c29_a6e2,
+            0x7f5b_d587_a185_103c
+        ],
+        "artifact bytes changed"
+    );
 }
