@@ -12,7 +12,6 @@
 //! cargo run -p cdnc-experiments --release -- all  --scale smoke
 //! ```
 
-pub mod bench;
 pub mod ctx;
 pub mod divergence;
 pub mod eval_figs;
@@ -20,7 +19,6 @@ pub mod ext_figs;
 pub mod hat_figs;
 pub mod html_report;
 pub mod obs_out;
-pub mod perf;
 pub mod profile_out;
 pub mod replay;
 pub mod report;
@@ -50,19 +48,14 @@ pub const EXT_FIGURES: [&str; 6] =
 
 /// Builds the measurement trace for a scale (shared by all §3 figures).
 pub fn build_trace(scale: Scale) -> Trace {
-    build_trace_with_obs(scale, &Registry::disabled())
-}
-
-/// Builds the measurement trace with crawl instrumentation recording into
-/// `obs` (poll counts, absence skips, skew-correction residuals, phase
-/// timings).
-pub fn build_trace_with_obs(scale: Scale, obs: &Registry) -> Trace {
-    build_trace_ctx(RunCtx::new(scale), obs)
+    build_trace_ctx(RunCtx::new(scale), &Registry::disabled())
 }
 
 /// Builds the measurement trace under an execution context: the crawl seed
 /// follows `ctx.replicate` and timeline construction fans out on `ctx.pool`.
-/// The trace is bit-identical for every worker count.
+/// Crawl instrumentation (poll counts, absence skips, skew-correction
+/// residuals, phase timings) records into `obs`. The trace is bit-identical
+/// for every worker count and every `obs`.
 pub fn build_trace_ctx(ctx: RunCtx, obs: &Registry) -> Trace {
     let mut cfg = ctx.scale.crawl_config();
     cfg.seed = ctx.seed(cfg.seed);
@@ -75,27 +68,15 @@ pub fn build_trace_ctx(ctx: RunCtx, obs: &Registry) -> Trace {
 ///
 /// Returns `None` for an unknown id.
 pub fn run_figure(id: &str, scale: Scale, trace: Option<&Trace>) -> Option<FigureReport> {
-    run_figure_with_obs(id, scale, trace, &Registry::disabled())
-}
-
-/// Runs one figure with instrumentation recording into `obs`: the whole
-/// figure runs under a span named after it, every simulation it launches
-/// accumulates metrics into the registry, and an on-demand trace build is
-/// instrumented too. Observation-only — the returned report is identical
-/// to [`run_figure`]'s for the same inputs.
-pub fn run_figure_with_obs(
-    id: &str,
-    scale: Scale,
-    trace: Option<&Trace>,
-    obs: &Registry,
-) -> Option<FigureReport> {
-    run_figure_ctx(id, RunCtx::new(scale), trace, obs)
+    run_figure_ctx(id, RunCtx::new(scale), trace, &Registry::disabled())
 }
 
 /// Runs one figure under an execution context: simulation batches fan out
 /// on `ctx.pool` (metrics absorbed in task order, so the registry contents
 /// are bit-identical for every worker count) and every seed follows
-/// `ctx.replicate`.
+/// `ctx.replicate`. The whole figure runs under a span named after it and
+/// an on-demand trace build records into `obs` too. Observation-only: the
+/// report is the same for every `obs`.
 pub fn run_figure_ctx(
     id: &str,
     ctx: RunCtx,

@@ -401,6 +401,7 @@ impl Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn core(config: DigestConfig) -> DigestCore {
         DigestCore::new(config)
@@ -573,5 +574,32 @@ mod tests {
         assert!(chain.starts_with("0x") && chain.len() == 18, "{chain}");
         let Some(Json::Arr(segs)) = j.get("segments") else { panic!("segments array") };
         assert_eq!(segs[0].get("events").and_then(Json::as_f64), Some(4.0));
+    }
+
+    proptest! {
+        /// Swapping any two adjacent distinct folds changes the chain: the
+        /// digest is order-sensitive, so event reorderings cannot cancel
+        /// out.
+        #[test]
+        fn fold_order_is_significant(
+            events in proptest::collection::vec((0u32..64, 0u64..1_000_000, 0u64..256), 2..40),
+            swap_at in 0usize..38,
+        ) {
+            let swap_at = swap_at % (events.len() - 1);
+            if events[swap_at] == events[swap_at + 1] {
+                // Swapping identical folds is a no-op; nothing to check.
+                return Ok(());
+            }
+            let chain_of = |seq: &[(u32, u64, u64)]| {
+                let d = core(DigestConfig::default());
+                for &(node, t_us, tag) in seq {
+                    d.fold("ev_probe", node, t_us, &[tag]);
+                }
+                d.snapshot().chain
+            };
+            let mut swapped = events.clone();
+            swapped.swap(swap_at, swap_at + 1);
+            prop_assert_ne!(chain_of(&events), chain_of(&swapped));
+        }
     }
 }

@@ -128,17 +128,22 @@ impl HealthSnapshot {
     }
 }
 
-/// Resident set size (`VmRSS`) of this process, kB — the live companion of
-/// the peak (`VmHWM`) readings the perf harness records. Linux-only; `None`
-/// elsewhere or on read failure.
-pub fn vm_rss_kb() -> Option<u64> {
+/// One `kB` field of this process's `/proc/self/status` (`VmRSS`, `VmHWM`,
+/// …). Linux-only; `None` elsewhere, on read failure, or for an unknown key.
+fn proc_status_kb(key: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            return rest.trim().trim_end_matches(" kB").trim().parse().ok();
-        }
-    }
-    None
+    let rest = status.lines().find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))?;
+    rest.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// Resident set size (`VmRSS`) of this process, kB.
+pub fn vm_rss_kb() -> Option<u64> {
+    proc_status_kb("VmRSS")
+}
+
+/// Peak resident set size (`VmHWM`) of this process, kB.
+pub fn peak_rss_kb() -> Option<u64> {
+    proc_status_kb("VmHWM")
 }
 
 /// Heartbeat configuration for [`HealthMonitor::start`].
@@ -324,6 +329,18 @@ mod tests {
     fn vm_rss_reads_on_linux() {
         if cfg!(target_os = "linux") {
             assert!(vm_rss_kb().unwrap_or(0) > 0, "a running test has resident pages");
+        }
+        assert_eq!(proc_status_kb("NoSuchField"), None);
+    }
+
+    #[test]
+    fn rss_is_positive_on_linux() {
+        if cfg!(target_os = "linux") {
+            let peak = peak_rss_kb().unwrap_or(0);
+            assert!(peak > 0, "a running process has resident memory");
+            // Read the current level second: the peak can only have grown.
+            let rss = vm_rss_kb().unwrap_or(0);
+            assert!(peak_rss_kb().unwrap_or(0) >= rss, "the peak is at least the current {rss} kB");
         }
     }
 

@@ -683,6 +683,7 @@ impl MemProbeCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counters_attribute_only_when_enabled() {
@@ -754,10 +755,20 @@ mod tests {
         assert!((snap.attributed_fraction() - 0.9).abs() < 1e-12);
     }
 
+    /// The attribution gate is process-global: tests that flip it hold
+    /// this lock so one test's `set_enabled(false)` never lands inside
+    /// another's scopes.
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
+        GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn scope_guards_nest_and_restore() {
         // Scopes are inert while attribution is off process-wide; flip it
-        // on briefly. Serial within this test; other tests don't read tags.
+        // on briefly.
+        let _g = gate();
         set_enabled(true);
         assert_eq!(current(), Subsystem::Other);
         {
@@ -774,6 +785,83 @@ mod tests {
         let guard = scope(Subsystem::Trace);
         assert_eq!(current(), Subsystem::Other, "disabled scopes are inert");
         drop(guard);
+    }
+
+    #[test]
+    fn alloc_estimate_requires_installation() {
+        // Library tests run under the default allocator: the totals must
+        // report "not installed" rather than a misleading zero.
+        assert!(!installed());
+        assert_eq!(total_allocated_bytes(), None);
+        assert_eq!(total_allocs(), None);
+    }
+
+    proptest! {
+        #[test]
+        fn byte_totals_saturate_instead_of_wrapping(
+            sizes in proptest::collection::vec(0u64..=u64::MAX, 1..32)
+        ) {
+            let c = ProfileCounters::new();
+            c.set_enabled(true);
+            let mut expect = 0u64;
+            for &s in &sizes {
+                c.record_alloc(Subsystem::Net, s);
+                expect = expect.saturating_add(s);
+            }
+            let snap = c.snapshot();
+            prop_assert_eq!(snap.subsystem(Subsystem::Net).bytes, expect);
+            prop_assert_eq!(snap.total_bytes, expect);
+            prop_assert_eq!(snap.subsystem(Subsystem::Net).allocs, sizes.len() as u64);
+            prop_assert_eq!(snap.total_allocs, sizes.len() as u64);
+        }
+
+        #[test]
+        fn live_levels_track_any_alloc_free_interleaving(
+            ops in proptest::collection::vec((0u8..2, 0u64..(1u64 << 40)), 1..64)
+        ) {
+            let c = ProfileCounters::new();
+            c.set_enabled(true);
+            let (mut live, mut peak) = (0i64, 0i64);
+            for &(op, bytes) in &ops {
+                if op == 0 {
+                    c.record_alloc(Subsystem::SimCore, bytes);
+                    live += bytes as i64;
+                    peak = peak.max(live);
+                } else {
+                    // Frees may exceed allocations (pre-enable memory): the
+                    // live level legitimately goes negative, never wraps.
+                    c.record_dealloc(Subsystem::SimCore, bytes);
+                    live -= bytes as i64;
+                }
+            }
+            let snap = c.snapshot();
+            prop_assert_eq!(snap.subsystem(Subsystem::SimCore).live_bytes, live);
+            prop_assert_eq!(snap.live_bytes, live);
+            prop_assert_eq!(snap.subsystem(Subsystem::SimCore).peak_live_bytes, peak);
+        }
+
+        #[test]
+        fn nested_scopes_always_restore_the_outer_tag(
+            tags in proptest::collection::vec(0usize..SUBSYSTEMS, 1..12)
+        ) {
+            let _g = gate();
+            set_enabled(true);
+            fn descend(tags: &[usize]) {
+                let Some((&first, rest)) = tags.split_first() else { return };
+                let tag = Subsystem::ALL[first];
+                let before = current();
+                {
+                    let _s = scope(tag);
+                    assert_eq!(current(), tag);
+                    descend(rest);
+                    assert_eq!(current(), tag, "inner scopes must restore on drop");
+                }
+                assert_eq!(current(), before);
+            }
+            descend(&tags);
+            set_enabled(false);
+            prop_assert_eq!(current(), Subsystem::Other);
+        }
     }
 
     #[test]

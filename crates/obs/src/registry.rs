@@ -703,6 +703,45 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// Largest tolerated many-paths / few-paths ratio in [`span_overhead`].
+    /// Interned O(1) span recording sits near 1; an O(paths) linear scan
+    /// sits near the path-count quotient (64×).
+    const MAX_SPAN_OVERHEAD_RATIO: f64 = 8.0;
+
+    /// Span-recording cost at two working-set sizes: mean nanoseconds per
+    /// enter/exit cycle over many distinct paths divided by the same over
+    /// few. Interned recording keeps the ratio near 1 however many distinct
+    /// spans a run has opened.
+    fn span_overhead() -> f64 {
+        const SMALL: usize = 64;
+        const LARGE: usize = 4096;
+        const OPS: usize = 20_000;
+        let point = |paths: usize| {
+            let reg = Registry::enabled();
+            let names: Vec<String> = (0..paths).map(|i| format!("span_{i}")).collect();
+            for name in &names {
+                let _warm = reg.span(name);
+            }
+            let started = std::time::Instant::now();
+            for i in 0..OPS {
+                let _g = reg.span(&names[i % paths]);
+            }
+            started.elapsed().as_nanos() as f64 / OPS as f64
+        };
+        let (small, large) = (point(SMALL), point(LARGE));
+        large / small.max(1e-9)
+    }
+
+    #[test]
+    fn span_overhead_stays_flat_across_path_counts() {
+        let ratio = span_overhead();
+        assert!(ratio > 0.0);
+        assert!(
+            ratio <= MAX_SPAN_OVERHEAD_RATIO,
+            "interned span recording must not scale with distinct-path count: ratio {ratio:.2}"
+        );
+    }
+
     #[test]
     fn interning_shares_cells() {
         let reg = Registry::enabled();

@@ -552,6 +552,41 @@ mod tests {
             prop_assert_eq!(back, expect);
         }
 
+        /// The collapsed-stack export round-trips: arbitrary frame paths
+        /// and self-times survive `to_folded` → `parse_folded` exactly, in
+        /// order.
+        #[test]
+        fn folded_round_trips_arbitrary_frames(
+            frames in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..8, 1usize..12), 1..5),
+                    0u64..u64::MAX,
+                ),
+                0..20,
+            )
+        ) {
+            const NAMES: [&str; 8] =
+                ["run", "step", "sim_events", "crawl", "a", "b9", "x_y", "net_send"];
+            let frames: Vec<(String, PhaseTiming)> = frames
+                .into_iter()
+                .map(|(segments, self_ns)| {
+                    let path = segments
+                        .iter()
+                        .map(|&(name, reps)| NAMES[name].repeat(reps))
+                        .collect::<Vec<_>>()
+                        .join("/");
+                    let self_ns = u128::from(self_ns);
+                    (path, PhaseTiming { count: 1, total_ns: self_ns, self_ns })
+                })
+                .collect();
+            let parsed = parse_folded(&to_folded(&frames)).expect("well-formed");
+            prop_assert_eq!(parsed.len(), frames.len());
+            for ((path, timing), (parsed_path, parsed_self)) in frames.iter().zip(&parsed) {
+                prop_assert_eq!(path, parsed_path);
+                prop_assert_eq!(timing.self_ns, *parsed_self);
+            }
+        }
+
         #[test]
         fn absorb_is_equivalent_to_replay(script in span_script()) {
             let tree = FrameTree::default();

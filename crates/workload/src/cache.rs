@@ -281,6 +281,7 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn id(slot: u32) -> ObjectId {
         ObjectId { slot, gen: 0 }
@@ -423,5 +424,94 @@ mod tests {
     #[should_panic(expected = "zero-capacity cache")]
     fn zero_capacity_is_rejected() {
         LruCache::new(0, false);
+    }
+
+    /// One scripted cache operation, generated by proptest.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A user request for popularity rank `slot`.
+        Request { slot: u32, user: u32 },
+        /// Fill the `nth` (mod live count) in-flight fetch.
+        Fill { nth: usize },
+        /// Invalidate rank `slot` (a serve-time revalidation).
+        Invalidate { slot: u32 },
+    }
+
+    fn op_strategy(slots: u32) -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..slots, 0..8u32).prop_map(|(slot, user)| Op::Request { slot, user }),
+            (0..slots, 0..8u32).prop_map(|(slot, user)| Op::Request { slot, user }),
+            (0..1_024usize).prop_map(|nth| Op::Fill { nth }),
+            (0..slots).prop_map(|slot| Op::Invalidate { slot }),
+        ]
+    }
+
+    proptest! {
+        /// Drives an [`LruCache`] through arbitrary interleavings of
+        /// requests, fills, and invalidations, checking after every step:
+        /// capacity is never exceeded, hit + delayed + miss always equals
+        /// requests, and every queued waiter is released exactly once, by
+        /// the fill of exactly the fetch that queued it.
+        #[test]
+        fn lru_invariants_hold_under_arbitrary_interleavings(
+            capacity in 1..6usize,
+            mad in (0..2u8).prop_map(|b| b == 1),
+            ops in proptest::collection::vec(op_strategy(12), 1..120),
+        ) {
+            let mut cache = LruCache::new(capacity, mad);
+            let mut now = SimTime::ZERO;
+            // Expected waiters per in-flight fetch, in queue order.
+            let mut pending: BTreeMap<ObjectId, Vec<u32>> = BTreeMap::new();
+            let (mut requests, mut hits, mut delayed, mut misses) = (0u64, 0u64, 0u64, 0u64);
+            let mut queued = 0u64;
+            let mut released = 0u64;
+            for op in ops {
+                now += cdnc_simcore::SimDuration::from_micros(1_000);
+                match op {
+                    Op::Request { slot, user } => {
+                        requests += 1;
+                        match cache.request(id(slot), user, now) {
+                            Lookup::Hit { .. } => hits += 1,
+                            Lookup::Delayed => {
+                                delayed += 1;
+                                queued += 1;
+                                pending
+                                    .get_mut(&id(slot))
+                                    .expect("delayed implies in flight")
+                                    .push(user);
+                            }
+                            Lookup::Miss => {
+                                misses += 1;
+                                queued += 1;
+                                prop_assert!(pending.insert(id(slot), vec![user]).is_none());
+                            }
+                        }
+                    }
+                    Op::Fill { nth } => {
+                        let Some(&fetch) = pending.keys().nth(nth % pending.len().max(1)) else {
+                            continue;
+                        };
+                        let expected = pending.remove(&fetch).unwrap();
+                        let (waiters, _evicted) = cache.fill(fetch, 0, now);
+                        released += waiters.len() as u64;
+                        let got: Vec<u32> = waiters.iter().map(|w| w.user).collect();
+                        prop_assert_eq!(
+                            got, expected,
+                            "a fill must release exactly the waiters its fetch queued, in order"
+                        );
+                    }
+                    Op::Invalidate { slot } => {
+                        cache.invalidate(id(slot));
+                    }
+                }
+                prop_assert!(cache.len() <= cache.capacity(), "capacity must never be exceeded");
+                prop_assert_eq!(cache.inflight(), pending.len());
+                prop_assert_eq!(hits + delayed + misses, requests);
+            }
+            // Every waiter is accounted for: released by exactly one fill,
+            // or still queued behind a fetch we never filled.
+            let still_queued: u64 = pending.values().map(|w| w.len() as u64).sum();
+            prop_assert_eq!(released + still_queued, queued);
+        }
     }
 }
