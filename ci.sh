@@ -174,18 +174,26 @@ test -s "$DIG_DIR/serial/fig14.health.json"
 cargo run -q -p cdnc-experiments --release -- watch "$DIG_DIR/serial" --once | grep -q 'done'
 rm -rf "$DIG_DIR"
 
-echo "==> perfbench correctness smoke: every workload, 2 s, zero failed checks"
+echo "==> perfbench correctness smoke: every workload, 2 s, zero failed checks, pinned digests"
 # perfbench (the benchmark of record, see BENCHMARK.json) checks conservation
 # laws, zero convergence violations, resume bit-identity and non-empty span
 # and digest stores on every cell; its last line is a JSON result whose
-# "failed" count must be 0. Timings are not gated here.
+# "failed" count must be 0. Its report_digest folds every first-pass cell's
+# report, so at --seed 1 it must equal the pinned value below: any change to
+# simulated behaviour moves it (update a pin only for an intended one).
+# Timings are not gated here.
 cargo test --manifest-path perfbench/Cargo.toml --offline --quiet
 PB_DIR="$(mktemp -d)"
-for workload in consistency request_plane churn_recovery observed; do
+for pin in consistency=609e9db3fb6e3658 request_plane=938b7d9111381209 \
+           churn_recovery=e850c369f685eb92 observed=c90374253b8f361d; do
+  workload="${pin%%=*}"
   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 2 --trace 0 > "$PB_DIR/$workload.txt"
   if ! tail -n 1 "$PB_DIR/$workload.txt" | grep -q '"failed": 0,'; then
     echo "perfbench $workload: failed checks"; cat "$PB_DIR/$workload.txt"; exit 1
+  fi
+  if ! grep -qx "report_digest=${pin#*=}" "$PB_DIR/$workload.txt"; then
+    echo "perfbench $workload: report_digest moved from ${pin#*=}"; cat "$PB_DIR/$workload.txt"; exit 1
   fi
 done
 rm -rf "$PB_DIR"

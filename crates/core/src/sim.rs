@@ -1418,10 +1418,16 @@ impl<'a> CdnSimulation<'a> {
             // per send (drops waste the wire like real packets do).
             let deliveries = self.net.send_faulted(now, &packet, msg.trace_ctx());
             self.obs.inflight[kind as usize].add(deliveries.len() as u64);
-            for (arrival, hop) in deliveries {
-                let mut copy = msg.clone();
-                copy.set_ctx(hop);
-                self.sched.schedule_at(arrival, Event::Arrive(dst, copy));
+            // Only a duplicate's leading copy is a clone; the last takes `msg`.
+            if let Some((&(arrival, hop), leading)) = deliveries.split_last() {
+                for &(arrival, hop) in leading {
+                    let mut copy = msg.clone();
+                    copy.set_ctx(hop);
+                    self.sched.schedule_at(arrival, Event::Arrive(dst, copy));
+                }
+                let mut msg = msg;
+                msg.set_ctx(hop);
+                self.sched.schedule_at(arrival, Event::Arrive(dst, msg));
             }
         } else {
             self.obs.inflight[kind as usize].add(1);
@@ -1797,19 +1803,19 @@ impl<'a> CdnSimulation<'a> {
             self.workload = Some(wl);
             return;
         }
+        // Every waiter is served the same copy at the same instant.
+        let head = self.nodes[self.topo.provider.index()].content;
+        let staleness = wl.catalog.is_live(id.slot).then(|| wl.staleness_served_s(head, snap, now));
         let (waiters, evicted) = wl.caches[edge.index()].fill(id, snap, now);
         if evicted.is_some() {
             wl.stats.evictions += 1;
             self.obs.wl_evictions.inc();
         }
-        let head = self.nodes[self.topo.provider.index()].content;
-        let live = wl.catalog.is_live(id.slot);
         for w in waiters {
             let latency = now.since(w.requested_at).as_secs_f64();
             wl.stats.latency_s.push(latency);
             self.obs.wl_latency_s.record(latency);
-            if live {
-                let staleness = wl.staleness_served_s(head, snap, now);
+            if let Some(staleness) = staleness {
                 wl.stats.staleness_served_s.push(staleness);
                 self.obs.wl_staleness_served_s.record(staleness);
             }

@@ -7,8 +7,45 @@ use crate::packet::{Packet, PacketKind, PACKET_KINDS};
 use crate::traffic::TrafficStats;
 use crate::uplink::Uplink;
 use cdnc_geo::{GeoPoint, IspId, World};
+use cdnc_obs::TraceCtx;
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use cdnc_simcore::{SimDuration, SimRng, SimTime};
+
+/// The copies of one [`Network::send_faulted`] call that reach the
+/// receiver, in arrival order: none when the packet is dropped, one for a
+/// clean or delayed delivery, two when the network duplicates it. Each is
+/// the delivery instant paired with the context the receiver continues its
+/// trace from. A fixed pair, so a send allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Deliveries {
+    copies: [(SimTime, TraceCtx); 2],
+    len: usize,
+}
+
+impl Deliveries {
+    const NONE: Deliveries = Deliveries { copies: [(SimTime::ZERO, TraceCtx::NONE); 2], len: 0 };
+
+    fn one(copy: (SimTime, TraceCtx)) -> Self {
+        Deliveries { copies: [copy; 2], len: 1 }
+    }
+}
+
+impl std::ops::Deref for Deliveries {
+    type Target = [(SimTime, TraceCtx)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.copies[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Deliveries {
+    type Item = &'a (SimTime, TraceCtx);
+    type IntoIter = std::slice::Iter<'a, (SimTime, TraceCtx)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Static configuration of a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -331,9 +368,9 @@ impl Network {
         now: SimTime,
         packet: &Packet,
         ctx: cdnc_obs::TraceCtx,
-    ) -> Vec<(SimTime, cdnc_obs::TraceCtx)> {
+    ) -> Deliveries {
         if self.faults.is_none() {
-            return vec![self.send_traced(now, packet, ctx)];
+            return Deliveries::one(self.send_traced(now, packet, ctx));
         }
         let src_isp = self.nodes[packet.src.index()].isp();
         let dst_isp = self.nodes[packet.dst.index()].isp();
@@ -364,7 +401,7 @@ impl Network {
                     now.as_micros(),
                     "fault-drop",
                 );
-                Vec::new()
+                Deliveries::NONE
             }
             FaultDecision::Deliver { extra, duplicate_extra } => {
                 let arrival = self.send(now, packet) + extra;
@@ -379,7 +416,7 @@ impl Network {
                     now.as_micros(),
                     arrival.as_micros(),
                 );
-                let mut out = vec![(arrival, hop)];
+                let mut out = Deliveries::one((arrival, hop));
                 if let Some(lag) = duplicate_extra {
                     self.obs_fault_duplicated.inc();
                     // The in-network copy is a second live message: count it
@@ -395,7 +432,8 @@ impl Network {
                         now.as_micros(),
                         dup_arrival.as_micros(),
                     );
-                    out.push((dup_arrival, dup_hop));
+                    out.copies[1] = (dup_arrival, dup_hop);
+                    out.len = 2;
                 }
                 out
             }

@@ -8,13 +8,14 @@
 //! * **network load, km** (§5.3, Fig. 23): total transmission distance per
 //!   message class.
 
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Packet, PacketKind, PACKET_KINDS};
 use cdnc_simcore::ckpt::{Ckpt, CkptError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Accumulated traffic statistics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TrafficStats {
     km_kb: f64,
     update_messages: u64,
@@ -25,7 +26,8 @@ pub struct TrafficStats {
     light_kb: f64,
     inter_isp_messages: u64,
     inter_isp_km_kb: f64,
-    by_kind: BTreeMap<String, u64>,
+    /// Messages per kind, indexed by `PacketKind as usize`.
+    by_kind: [u64; PACKET_KINDS],
 }
 
 impl TrafficStats {
@@ -66,7 +68,7 @@ impl TrafficStats {
             self.light_km += distance_km;
             self.light_kb += packet.size_kb;
         }
-        *self.by_kind.entry(packet.kind.to_string()).or_insert(0) += 1;
+        self.by_kind[packet.kind as usize] += 1;
     }
 
     /// Total traffic cost in km·KB (paper Fig. 16/17 metric).
@@ -145,7 +147,7 @@ impl TrafficStats {
 
     /// Count of messages of one protocol kind.
     pub fn count_of(&self, kind: PacketKind) -> u64 {
-        self.by_kind.get(&kind.to_string()).copied().unwrap_or(0)
+        self.by_kind[kind as usize]
     }
 
     /// Checkpoints the accumulator (floats bit-exact).
@@ -159,10 +161,34 @@ impl TrafficStats {
         c.f64("traffic_light_kb", &mut self.light_kb)?;
         c.u64("traffic_inter_isp_messages", &mut self.inter_isp_messages)?;
         c.f64("traffic_inter_isp_km_kb", &mut self.inter_isp_km_kb)?;
-        c.map("traffic_kinds", &mut self.by_kind, |c, kind, count| {
+        // Saved as a map of the non-zero kinds by wire name.
+        let mut kinds: BTreeMap<String, u64> = if c.is_load() {
+            BTreeMap::new()
+        } else {
+            self.named_counts().map(|(kind, n)| (kind.name().to_string(), n)).collect()
+        };
+        c.map("traffic_kinds", &mut kinds, |c, kind, count| {
             c.string("traffic_kind", kind)?;
             c.u64("traffic_kind_count", count)
-        })
+        })?;
+        if c.is_load() {
+            self.by_kind = [0; PACKET_KINDS];
+            for (name, count) in kinds {
+                let kind = PacketKind::ALL
+                    .into_iter()
+                    .find(|k| k.name() == name)
+                    .ok_or_else(|| CkptError(format!("unknown packet kind {name:?}")))?;
+                self.by_kind[kind as usize] = count;
+            }
+        }
+        Ok(())
+    }
+
+    /// The kinds with a non-zero count, in wire-name order.
+    fn named_counts(&self) -> impl Iterator<Item = (PacketKind, u64)> + '_ {
+        let mut kinds = PacketKind::ALL;
+        kinds.sort_unstable_by_key(|k| k.name());
+        kinds.into_iter().map(|k| (k, self.by_kind[k as usize])).filter(|&(_, n)| n > 0)
     }
 
     /// Merges another accumulator into this one.
@@ -176,9 +202,34 @@ impl TrafficStats {
         self.light_km += other.light_km;
         self.update_kb += other.update_kb;
         self.light_kb += other.light_kb;
-        for (k, v) in &other.by_kind {
-            *self.by_kind.entry(k.clone()).or_insert(0) += v;
+        for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind) {
+            *mine += theirs;
         }
+    }
+}
+
+/// Prints the per-kind counts as a map of the non-zero kinds by wire name,
+/// in name order.
+impl fmt::Debug for TrafficStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct ByKind<'a>(&'a TrafficStats);
+        impl fmt::Debug for ByKind<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.named_counts().map(|(k, n)| (k.name(), n))).finish()
+            }
+        }
+        f.debug_struct("TrafficStats")
+            .field("km_kb", &self.km_kb)
+            .field("update_messages", &self.update_messages)
+            .field("light_messages", &self.light_messages)
+            .field("update_km", &self.update_km)
+            .field("light_km", &self.light_km)
+            .field("update_kb", &self.update_kb)
+            .field("light_kb", &self.light_kb)
+            .field("inter_isp_messages", &self.inter_isp_messages)
+            .field("inter_isp_km_kb", &self.inter_isp_km_kb)
+            .field("by_kind", &ByKind(self))
+            .finish()
     }
 }
 
@@ -252,6 +303,26 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, whole);
+    }
+
+    #[test]
+    fn kinds_are_named_in_debug_and_checkpoints() {
+        let mut t = TrafficStats::new();
+        t.record(&update(1.0), 0.0);
+        t.record(&Packet::poll(NodeId(0), NodeId(1)), 0.0);
+        t.record(&Packet::poll(NodeId(0), NodeId(1)), 0.0);
+        t.record(&Packet::invalidation(NodeId(1), NodeId(0)), 0.0);
+        // The non-zero kinds by wire name, in name order, as a map of
+        // `String` keys prints.
+        let debug = format!("{t:?}");
+        assert!(debug.ends_with(r#"by_kind: {"invalidation": 1, "poll": 2, "update": 1} }"#));
+        let mut c = Ckpt::save("test");
+        t.ckpt(&mut c).unwrap();
+        let text = c.finish();
+        assert!(text.contains("traffic_kind=poll"), "{text}");
+        let tampered = text.replace("traffic_kind=poll", "traffic_kind=bogus");
+        let mut c = Ckpt::load(&tampered, "test").unwrap();
+        assert!(TrafficStats::new().ckpt(&mut c).is_err(), "unknown kind rejected");
     }
 
     #[test]

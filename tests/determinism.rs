@@ -157,7 +157,7 @@ const EXT_WORKLOAD_SERIES: Row = Row {
     name: "ext-workload",
     runs: &[Run::Figure("ext_workload")],
     replicates: &[0],
-    recorders: &[Series],
+    recorders: &[Series, Digest],
     jobs: JOBS,
 };
 const CRAWL_CANONICAL: Row = Row {
@@ -622,14 +622,26 @@ fn written_artifact_is_well_formed_json() {
     assert!(doc.get("phases").is_some(), "artifact includes phase timings");
 }
 
+/// ext_workload's smoke-scale digest chain and event count, as the
+/// map-based edge cache produced them. Every request, fill, churn and
+/// origin fetch folds into the chain, so any drift in the request plane —
+/// catalog draws, cache hits and evictions, waiter release order — changes
+/// it. Update both only for an intended behaviour change.
+const EXT_WORKLOAD_CHAIN: &str = "0x6a303f0344acd3ba";
+const EXT_WORKLOAD_EVENTS: f64 = 41_709_270.0;
+
 #[test]
 fn ext_workload_is_jobs_invariant() {
     let _g = shared();
-    check(&EXT_WORKLOAD_SERIES, |armed| {
+    let tree = check(&EXT_WORKLOAD_SERIES, |armed| {
         let Output::Figure(report) = armed.output else { unreachable!() };
         assert!(!report.curves.is_empty(), "ext_workload must record CDF curves");
         assert!(armed.dir.join("ext_workload.workload.json").exists());
     });
+    let digest = tree.0.join("ext_workload-r0/jobs1/ext_workload.digest.json");
+    let doc = parse(&std::fs::read_to_string(digest).unwrap()).unwrap();
+    assert_eq!(doc.get("chain").and_then(Json::as_str), Some(EXT_WORKLOAD_CHAIN), "pinned chain");
+    assert_eq!(doc.get("events").and_then(Json::as_f64), Some(EXT_WORKLOAD_EVENTS), "pinned count");
 }
 
 #[test]
